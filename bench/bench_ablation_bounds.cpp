@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
         if (count_bound <= tau) ++candidate_count;
         int lambda_v = ged::MaxCommonVertexLabels(q, g, data.dict);
         int lambda_e = graph::MatchableLabelCount(
-            q.EdgeLabelCounts(), g.EdgeLabelCounts(), data.dict);
+            q.EdgeLabelCounts(), structure.EdgeLabelCounts(), data.dict);
         int lm_bound =
             std::max(q.num_vertices(), structure.num_vertices()) - lambda_v +
             std::max(q.num_edges(), structure.num_edges()) - lambda_e;

@@ -158,6 +158,11 @@ PY
 build_and_test build-dcheck -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMJ_DEBUG_CHECKS=ON -DSIMJ_WERROR=ON
 ctest --test-dir build-dcheck --output-on-failure -j "${JOBS}"
+# The GED kernels on a join-sized workload: this build checks every A*
+# result against MappingCost and the CSS/greedy bound sandwich
+# (SIMJ_DCHECK_OK(ValidateGedResult)) across the whole tau sweep.
+./build-dcheck/bench/bench_fig12_tau_efficiency \
+  --num_certain=60 --num_uncertain=60 > /dev/null
 
 # 1b. Observability smoke: run a small join with every sink enabled, then
 # validate that the Chrome trace is well-formed JSON with the expected span
@@ -212,6 +217,9 @@ PY
 # command in EXPERIMENTS.md when the join deliberately changes speed.
 echo "=== perf smoke ==="
 python3 tools/bench_compare.py --self-test
+# The benchmark's percentile math and its metric names against
+# BENCHMARK.json (cheap; no build).
+python3 simjbench/run.py --self-test
 python3 tools/bench_compare.py --schema-check "${SMOKE_DIR}/result.json"
 ./build-release/bench/bench_fig12_tau_efficiency \
   --num_certain=30 --num_uncertain=30 \

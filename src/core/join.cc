@@ -460,8 +460,9 @@ void JoinPairs(const std::vector<LabeledGraph>& d,
     }
   } else {
     // Workers may only read the dictionary (EvaluatePair never interns, but
-    // the freeze makes that a hard guarantee rather than a convention).
-    dict.Freeze();
+    // the freeze makes that a hard guarantee rather than a convention). The
+    // freeze ends with the join, so callers can intern again afterwards.
+    graph::LabelDictionary::ScopedFreeze freeze(dict);
     int workers = ResolveThreadCount(params.num_threads);
     metrics::Registry::Global()
         .GetGauge("simj_join_workers")

@@ -98,7 +98,7 @@ struct SimJParams {
   // Worker threads for the join loop. 1 = the exact legacy serial path
   // (no pool, no freeze); 0 = one per hardware thread; >1 = that many
   // workers. Any value other than 1 freezes the label dictionary for the
-  // duration of the join (see LabelDictionary::Freeze) and shards the
+  // duration of the join (see LabelDictionary::ScopedFreeze) and shards the
   // candidate pairs across a work-stealing pool. Results are sorted by
   // (q_index, g_index), so output is byte-identical at every thread count.
   int num_threads = 1;

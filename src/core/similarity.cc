@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ged/graph_summary.h"
 #include "ged/lower_bounds.h"
 #include "util/check.h"
 #include "util/metrics.h"
@@ -14,12 +15,32 @@ namespace {
 
 using graph::LabeledGraph;
 using graph::LabelDictionary;
+using graph::LabelId;
 using graph::PossibleWorldIterator;
 using graph::UncertainGraph;
 
+// Facts of one possible-world group that every world reads: its structure
+// (shared by all its worlds, which differ only in vertex labels), the CSS
+// structural constant C(q, group), and the buffer each world's vertex
+// labels are written into.
+struct GroupContext {
+  GroupContext(const ged::GraphSummary& q_summary, const UncertainGraph& g,
+               const LabelDictionary& dict)
+      : graph(g),
+        summary(g.structure()),
+        structural_constant(ged::CssStructuralConstant(
+            q_summary.facts(), summary.facts(), dict)),
+        world_labels(g.num_vertices(), graph::kInvalidLabel) {}
+
+  const UncertainGraph& graph;
+  const ged::GraphSummary summary;
+  const int structural_constant;
+  std::vector<LabelId> world_labels;
+};
+
 // Evaluates one possible world: bound check, then bounded A*. Updates the
 // accumulator and best-world tracking in `result`.
-void EvaluateWorld(const LabeledGraph& q, const UncertainGraph& g,
+void EvaluateWorld(const ged::SummaryView& q, GroupContext& group,
                    const std::vector<int>& choice, double world_prob, int tau,
                    const LabelDictionary& dict, const ged::GedOptions& options,
                    VerifyStats* stats, SimPResult* result) {
@@ -32,8 +53,19 @@ void EvaluateWorld(const LabeledGraph& q, const UncertainGraph& g,
       metrics::Registry::Global().GetHistogram("simj_verify_ged_seconds");
   ++stats->worlds_enumerated;
   worlds_total.Increment();
-  LabeledGraph world = g.Materialize(choice);
-  if (ged::CssLowerBound(q, world, dict) > tau) {
+  SIMJ_CHECK_EQ(choice.size(), group.world_labels.size());
+  for (size_t v = 0; v < choice.size(); ++v) {
+    const auto& alternatives = group.graph.alternatives(static_cast<int>(v));
+    SIMJ_CHECK(choice[v] >= 0 &&
+               choice[v] < static_cast<int>(alternatives.size()));
+    group.world_labels[v] = alternatives[choice[v]].label;
+  }
+  const ged::SummaryView world{group.summary, group.world_labels};
+  // The certain CSS bound of this world: only lambda_V depends on the
+  // world's labels.
+  if (group.structural_constant -
+          ged::MatchableVertexLabels(q.labels, world.labels, dict) >
+      tau) {
     ++stats->worlds_pruned_by_bound;
     worlds_pruned.Increment();
     return;
@@ -74,9 +106,12 @@ SimPResult ComputeSimP(const LabeledGraph& q, const UncertainGraph& g,
   VerifyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
+  const ged::GraphSummary q_summary(q);
+  const ged::SummaryView q_view{q_summary, q.vertex_labels()};
+  GroupContext group(q_summary, g, dict);
   for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
-    EvaluateWorld(q, g, it.choice(), it.probability(), tau, dict, options,
-                  stats, &result);
+    EvaluateWorld(q_view, group, it.choice(), it.probability(), tau, dict,
+                  options, stats, &result);
   }
   return result;
 }
@@ -90,23 +125,44 @@ namespace {
 // a huge list.
 constexpr int64_t kMaxSortedWorlds = 4096;
 
-struct OrderedWorld {
-  std::vector<int> choice;
-  double probability;
-};
-
-std::vector<OrderedWorld> SortedWorlds(const UncertainGraph& g) {
-  std::vector<OrderedWorld> worlds;
-  worlds.reserve(static_cast<size_t>(g.NumPossibleWorlds()));
-  for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
-    worlds.push_back(OrderedWorld{it.choice(), it.probability()});
+// The worlds of a group in descending probability: choices are stored
+// back to back in one flat array, and the sort moves (probability, index)
+// pairs only. std::sort's result depends only on the comparisons it makes,
+// so ties land in the same order as when whole choice vectors were sorted.
+class SortedWorlds {
+ public:
+  explicit SortedWorlds(const UncertainGraph& g) : n_(g.num_vertices()) {
+    const size_t count = static_cast<size_t>(g.NumPossibleWorlds());
+    choices_.reserve(count * n_);
+    order_.reserve(count);
+    for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
+      order_.push_back(World{it.probability(), static_cast<int>(order_.size())});
+      choices_.insert(choices_.end(), it.choice().begin(), it.choice().end());
+    }
+    std::sort(order_.begin(), order_.end(),
+              [](const World& a, const World& b) {
+                return a.probability > b.probability;
+              });
   }
-  std::sort(worlds.begin(), worlds.end(),
-            [](const OrderedWorld& a, const OrderedWorld& b) {
-              return a.probability > b.probability;
-            });
-  return worlds;
-}
+
+  size_t size() const { return order_.size(); }
+  double probability(size_t rank) const { return order_[rank].probability; }
+  // Copies the choice of the world at `rank` into *choice.
+  void Choice(size_t rank, std::vector<int>* choice) const {
+    const auto begin = choices_.begin() +
+                       static_cast<ptrdiff_t>(order_[rank].index) * n_;
+    choice->assign(begin, begin + n_);
+  }
+
+ private:
+  struct World {
+    double probability;
+    int index;
+  };
+  int n_;
+  std::vector<int> choices_;
+  std::vector<World> order_;
+};
 
 }  // namespace
 
@@ -119,12 +175,13 @@ SimPResult VerifySimP(const LabeledGraph& q,
   if (stats == nullptr) stats = &local_stats;
   SimPResult result;
   double remaining = total_mass;
+  const ged::GraphSummary q_summary(q);
+  const ged::SummaryView q_view{q_summary, q.vertex_labels()};
 
-  auto process = [&](const UncertainGraph& group,
-                     const std::vector<int>& choice,
+  auto process = [&](GroupContext& group, const std::vector<int>& choice,
                      double world_prob) -> bool {
-    EvaluateWorld(q, group, choice, world_prob, tau, dict, options, stats,
-                  &result);
+    EvaluateWorld(q_view, group, choice, world_prob, tau, dict, options,
+                  stats, &result);
     remaining -= world_prob;
     if (result.probability >= alpha - kSimPEpsilon) {
       result.early_accept = true;
@@ -137,13 +194,17 @@ SimPResult VerifySimP(const LabeledGraph& q,
     return false;
   };
 
-  for (const UncertainGraph& group : groups) {
-    if (group.NumPossibleWorlds() <= kMaxSortedWorlds) {
-      for (const OrderedWorld& world : SortedWorlds(group)) {
-        if (process(group, world.choice, world.probability)) return result;
+  std::vector<int> choice;
+  for (const UncertainGraph& g : groups) {
+    GroupContext group(q_summary, g, dict);
+    if (g.NumPossibleWorlds() <= kMaxSortedWorlds) {
+      const SortedWorlds worlds(g);
+      for (size_t rank = 0; rank < worlds.size(); ++rank) {
+        worlds.Choice(rank, &choice);
+        if (process(group, choice, worlds.probability(rank))) return result;
       }
     } else {
-      for (PossibleWorldIterator it(group); !it.Done(); it.Next()) {
+      for (PossibleWorldIterator it(g); !it.Done(); it.Next()) {
         if (process(group, it.choice(), it.probability())) return result;
       }
     }

@@ -663,7 +663,7 @@ DistJoinResult ShardedSimJoin(const std::vector<graph::LabeledGraph>& d,
   // Workers share the dictionary concurrently (and process workers fork a
   // snapshot of it); freeze for the duration, like the parallel JoinPairs
   // path does.
-  dict.Freeze();
+  graph::LabelDictionary::ScopedFreeze freeze(dict);
   WorkerContext ctx;
   ctx.d = &d;
   ctx.u = &u;

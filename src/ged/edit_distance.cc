@@ -8,146 +8,312 @@
 #include "matching/hungarian.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/small_buffer.h"
 
 namespace simj::ged {
 
 namespace {
 
-using graph::LabelCounts;
 using graph::LabeledGraph;
 using graph::LabelDictionary;
 using graph::LabelId;
 
-// Search state: vertices of `a` (in a fixed processing order) mapped one by
-// one to distinct vertices of `b` or deleted (-1). `used` is a bitmask over
-// b's vertices.
-struct State {
-  int f = 0;      // g_cost + heuristic
-  int g_cost = 0; // cost of the decided prefix
-  int depth = 0;  // number of a-vertices decided
+// A* state: a-vertex order[depth - 1] is mapped to b-vertex `image` (-1 =
+// deleted), and the earlier decisions are those of `parent`. States live in
+// one per-call arena and name their parent by index, so a state costs a
+// fixed 24 bytes however deep it is. `used` is a bitmask over b's vertices.
+struct Node {
+  int parent = -1;
+  int image = -1;
+  int g_cost = 0;  // cost of the decided prefix
   uint64_t used = 0;
-  std::vector<int> assignment;  // size == depth, values: b-vertex or -1
+};
+
+// Open-list entry. The heap compares (f, depth) only, exactly as it did
+// when it held whole states, so it pushes and pops states in the same
+// order and the search returns the same mapping.
+struct OpenEntry {
+  int f = 0;  // g_cost + heuristic
+  int depth = 0;
+  int node = 0;
 };
 
 struct StateOrder {
-  bool operator()(const State& lhs, const State& rhs) const {
+  bool operator()(const OpenEntry& lhs, const OpenEntry& rhs) const {
     if (lhs.f != rhs.f) return lhs.f > rhs.f;   // min-heap on f
     return lhs.depth < rhs.depth;               // prefer deeper states
   }
 };
 
-// Precomputed per-graph data reused across the search.
-struct SearchContext {
-  const LabeledGraph& a;
-  const LabeledGraph& b;
-  const LabelDictionary& dict;
-  std::vector<int> order;  // processing order of a's vertices
+// The distinct labels of a list, renumbered 0..size()-1 in sorted order.
+class DenseLabels {
+ public:
+  explicit DenseLabels(std::vector<LabelId> labels) : labels_(std::move(labels)) {
+    std::sort(labels_.begin(), labels_.end());
+    labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
+  }
+  int size() const { return static_cast<int>(labels_.size()); }
+  int Id(LabelId label) const {
+    return static_cast<int>(
+        std::lower_bound(labels_.begin(), labels_.end(), label) -
+        labels_.begin());
+  }
+  std::vector<uint8_t> WildcardFlags(const LabelDictionary& dict) const {
+    std::vector<uint8_t> wild(labels_.size());
+    for (size_t l = 0; l < labels_.size(); ++l) {
+      wild[l] = dict.IsWildcard(labels_[l]) ? 1 : 0;
+    }
+    return wild;
+  }
 
-  // pending_vertex_labels[d]: multiset of labels of a-vertices not yet
-  // decided at depth d (i.e. order[d..]).
-  std::vector<LabelCounts> pending_vertex_labels;
-  // pending_edge_labels[d]: labels of a-edges with at least one endpoint
-  // not yet decided at depth d.
-  std::vector<LabelCounts> pending_edge_labels;
-  std::vector<int> pending_edge_total;  // sizes of the multisets above
-
-  // position_in_order[v] = depth at which a-vertex v is decided.
-  std::vector<int> position_in_order;
+ private:
+  std::vector<LabelId> labels_;
 };
 
-SearchContext BuildContext(const LabeledGraph& a, const LabeledGraph& b,
+std::vector<LabelId> Concat(std::span<const LabelId> x,
+                            std::span<const LabelId> y) {
+  std::vector<LabelId> out(x.begin(), x.end());
+  out.insert(out.end(), y.begin(), y.end());
+  return out;
+}
+
+// Dense n x n index of a summary's vertex pairs: pair id or -1.
+std::vector<int> PairIndex(const GraphSummary& g) {
+  const int n = g.num_vertices();
+  std::vector<int> index(static_cast<size_t>(n) * n, -1);
+  for (size_t p = 0; p < g.pairs().size(); ++p) {
+    const GraphSummary::Pair& pair = g.pairs()[p];
+    index[static_cast<size_t>(pair.src) * n + pair.dst] = static_cast<int>(p);
+  }
+  return index;
+}
+
+// An edge of b seen from one endpoint: the other endpoint and the dense
+// edge label.
+struct Incident {
+  int other = 0;
+  int label = 0;
+};
+
+// Everything the search reads, built once per BoundedGed call. Vertex and
+// edge labels are renumbered densely (separately), so the heuristic's
+// label multisets are plain histograms.
+struct SearchContext {
+  SearchContext(const SummaryView& a_in, const SummaryView& b_in,
+                const LabelDictionary& dict_in)
+      : a(a_in), b(b_in), dict(dict_in) {}
+
+  SummaryView a;
+  SummaryView b;
+  const LabelDictionary& dict;
+  int n = 0;
+  int m = 0;
+  std::vector<int> order;  // processing order of a's vertices
+
+  std::vector<uint8_t> vertex_wild;  // per dense vertex label
+  std::vector<uint8_t> edge_wild;    // per dense edge label
+  std::vector<int> b_vertex_label;   // dense label of each b-vertex
+  // pending_vertex[d * |vertex_wild| + l]: a-vertices labeled l that are
+  // not yet decided at depth d (i.e. among order[d..]).
+  std::vector<int> pending_vertex;
+  // pending_edge[d * |edge_wild| + l]: a-edges labeled l with at least one
+  // endpoint not yet decided at depth d; pending_edge_total[d] sums a row.
+  std::vector<int> pending_edge;
+  std::vector<int> pending_edge_total;
+  // b's edges: `b_edges` with dense labels, and per vertex v the edges
+  // touching it, b_incident[b_incident_begin[v] .. b_incident_begin[v+1]).
+  std::vector<graph::Edge> b_edges;
+  std::vector<int> b_incident_begin;
+  std::vector<Incident> b_incident;
+  // Vertex pairs of a and b for O(1) lookup (see PairIndex).
+  std::vector<int> a_pair;
+  std::vector<int> b_pair;
+  // sub[u * m + v]: substitution cost of a-vertex u by b-vertex v.
+  std::vector<uint8_t> sub;
+
+  int num_vertex_labels() const { return static_cast<int>(vertex_wild.size()); }
+  int num_edge_labels() const { return static_cast<int>(edge_wild.size()); }
+};
+
+SearchContext BuildContext(const SummaryView& a, const SummaryView& b,
                            const LabelDictionary& dict) {
-  SearchContext ctx{a, b, dict, {}, {}, {}, {}, {}};
+  SearchContext ctx(a, b, dict);
   const int n = a.num_vertices();
+  const int m = b.num_vertices();
+  ctx.n = n;
+  ctx.m = m;
   ctx.order.resize(n);
   for (int i = 0; i < n; ++i) ctx.order[i] = i;
   // High-degree vertices first: they constrain edge costs early.
   std::sort(ctx.order.begin(), ctx.order.end(), [&](int x, int y) {
-    if (a.degree(x) != a.degree(y)) return a.degree(x) > a.degree(y);
+    if (a.graph.degree(x) != a.graph.degree(y)) {
+      return a.graph.degree(x) > a.graph.degree(y);
+    }
     return x < y;
   });
-  ctx.position_in_order.assign(n, 0);
-  for (int d = 0; d < n; ++d) ctx.position_in_order[ctx.order[d]] = d;
+  std::vector<int> position_in_order(n, 0);
+  for (int d = 0; d < n; ++d) position_in_order[ctx.order[d]] = d;
 
-  ctx.pending_vertex_labels.resize(n + 1);
+  const DenseLabels vertex_labels(Concat(a.labels, b.labels));
+  const DenseLabels edge_labels(Concat(a.graph.facts().sorted_edge_labels,
+                                       b.graph.facts().sorted_edge_labels));
+  ctx.vertex_wild = vertex_labels.WildcardFlags(dict);
+  ctx.edge_wild = edge_labels.WildcardFlags(dict);
+  const int lv = vertex_labels.size();
+  const int le = edge_labels.size();
+
+  ctx.pending_vertex.assign(static_cast<size_t>(n + 1) * lv, 0);
   for (int d = n - 1; d >= 0; --d) {
-    ctx.pending_vertex_labels[d] = ctx.pending_vertex_labels[d + 1];
-    ++ctx.pending_vertex_labels[d][a.vertex_label(ctx.order[d])];
+    std::copy_n(ctx.pending_vertex.begin() + static_cast<ptrdiff_t>(d + 1) * lv,
+                lv, ctx.pending_vertex.begin() + static_cast<ptrdiff_t>(d) * lv);
+    ++ctx.pending_vertex[static_cast<size_t>(d) * lv +
+                         vertex_labels.Id(a.labels[ctx.order[d]])];
   }
 
-  ctx.pending_edge_labels.resize(n + 1);
+  // An a-edge is pending at depth d iff either endpoint is decided at
+  // position >= d, i.e. for d <= the later endpoint's position.
+  ctx.pending_edge.assign(static_cast<size_t>(n + 1) * le, 0);
   ctx.pending_edge_total.assign(n + 1, 0);
-  for (int d = 0; d <= n; ++d) {
-    for (const graph::Edge& e : a.edges()) {
-      // Pending at depth d iff either endpoint is decided at position >= d.
-      if (ctx.position_in_order[e.src] >= d ||
-          ctx.position_in_order[e.dst] >= d) {
-        ++ctx.pending_edge_labels[d][e.label];
+  for (const GraphSummary::Pair& pair : a.graph.pairs()) {
+    const int last = std::max(position_in_order[pair.src],
+                              position_in_order[pair.dst]);
+    for (LabelId label : a.graph.PairLabels(pair)) {
+      const int id = edge_labels.Id(label);
+      for (int d = 0; d <= last; ++d) {
+        ++ctx.pending_edge[static_cast<size_t>(d) * le + id];
         ++ctx.pending_edge_total[d];
       }
+    }
+  }
+
+  ctx.b_vertex_label.resize(m);
+  for (int v = 0; v < m; ++v) ctx.b_vertex_label[v] = vertex_labels.Id(b.labels[v]);
+  ctx.b_incident_begin.assign(m + 1, 0);
+  for (const GraphSummary::Pair& pair : b.graph.pairs()) {
+    for (LabelId label : b.graph.PairLabels(pair)) {
+      ctx.b_edges.push_back(graph::Edge{pair.src, pair.dst, edge_labels.Id(label)});
+      ++ctx.b_incident_begin[pair.src + 1];
+      ++ctx.b_incident_begin[pair.dst + 1];
+    }
+  }
+  for (int v = 0; v < m; ++v) ctx.b_incident_begin[v + 1] += ctx.b_incident_begin[v];
+  ctx.b_incident.resize(ctx.b_incident_begin[m]);
+  std::vector<int> next_slot(ctx.b_incident_begin.begin(),
+                             ctx.b_incident_begin.end() - 1);
+  for (const graph::Edge& e : ctx.b_edges) {
+    ctx.b_incident[next_slot[e.src]++] = Incident{e.dst, e.label};
+    ctx.b_incident[next_slot[e.dst]++] = Incident{e.src, e.label};
+  }
+
+  ctx.a_pair = PairIndex(a.graph);
+  ctx.b_pair = PairIndex(b.graph);
+  ctx.sub.resize(static_cast<size_t>(n) * m);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < m; ++v) {
+      ctx.sub[static_cast<size_t>(u) * m + v] =
+          static_cast<uint8_t>(SubstitutionCost(dict, a.labels[u], b.labels[v]));
     }
   }
   return ctx;
 }
 
-// Admissible heuristic: label-multiset relaxation over the not-yet-decided
-// part of `a` and the not-yet-used part of `b`.
-int Heuristic(const SearchContext& ctx, int depth, uint64_t used) {
-  const int pending_a_vertices = ctx.a.num_vertices() - depth;
-  LabelCounts b_vertex_labels;
-  int pending_b_vertices = 0;
-  for (int v = 0; v < ctx.b.num_vertices(); ++v) {
-    if (used & (uint64_t{1} << v)) continue;
-    ++b_vertex_labels[ctx.b.vertex_label(v)];
-    ++pending_b_vertices;
-  }
-  int vertex_cost =
-      std::max(pending_a_vertices, pending_b_vertices) -
-      MatchableLabelCount(ctx.pending_vertex_labels[depth], b_vertex_labels,
-                          ctx.dict);
+// Label histograms of the part of b that a state has not used yet: its
+// unused vertices, and its edges with at least one unused endpoint.
+struct PendingB {
+  std::vector<int> vertex_counts;
+  std::vector<int> edge_counts;
+  int vertices = 0;
+  int edges = 0;
 
-  LabelCounts b_edge_labels;
-  int pending_b_edges = 0;
-  for (const graph::Edge& e : ctx.b.edges()) {
-    bool src_used = (used >> e.src) & 1;
-    bool dst_used = (used >> e.dst) & 1;
-    if (src_used && dst_used) continue;
-    ++b_edge_labels[e.label];
-    ++pending_b_edges;
+  explicit PendingB(const SearchContext& ctx)
+      : vertex_counts(ctx.num_vertex_labels()),
+        edge_counts(ctx.num_edge_labels()) {}
+
+  void Fill(const SearchContext& ctx, uint64_t used) {
+    std::fill(vertex_counts.begin(), vertex_counts.end(), 0);
+    std::fill(edge_counts.begin(), edge_counts.end(), 0);
+    vertices = 0;
+    edges = 0;
+    for (int v = 0; v < ctx.m; ++v) {
+      if ((used >> v) & 1) continue;
+      ++vertex_counts[ctx.b_vertex_label[v]];
+      ++vertices;
+    }
+    for (const graph::Edge& e : ctx.b_edges) {
+      if (((used >> e.src) & 1) && ((used >> e.dst) & 1)) continue;
+      ++edge_counts[e.label];
+      ++edges;
+    }
   }
-  int edge_cost =
-      std::max(ctx.pending_edge_total[depth], pending_b_edges) -
-      MatchableLabelCount(ctx.pending_edge_labels[depth], b_edge_labels,
-                          ctx.dict);
+
+  // Moves b-vertex v (unused in `used`) into the used part (sign = -1) or
+  // back (sign = +1): v itself, and its edges whose other end is used.
+  void Shift(const SearchContext& ctx, uint64_t used, int v, int sign) {
+    vertex_counts[ctx.b_vertex_label[v]] += sign;
+    vertices += sign;
+    for (int i = ctx.b_incident_begin[v]; i < ctx.b_incident_begin[v + 1]; ++i) {
+      const Incident& inc = ctx.b_incident[i];
+      if ((used >> inc.other) & 1) {
+        edge_counts[inc.label] += sign;
+        edges += sign;
+      }
+    }
+  }
+};
+
+// Admissible heuristic: label-multiset relaxation over the not-yet-decided
+// part of `a` (a-vertices order[depth..]) and the not-yet-used part of `b`.
+int Heuristic(const SearchContext& ctx, int depth, const PendingB& pending) {
+  const int lv = ctx.num_vertex_labels();
+  const int le = ctx.num_edge_labels();
+  const int vertex_cost =
+      std::max(ctx.n - depth, pending.vertices) -
+      graph::MatchableLabelHistograms(
+          ctx.pending_vertex.data() + static_cast<size_t>(depth) * lv,
+          pending.vertex_counts.data(), ctx.vertex_wild);
+  const int edge_cost =
+      std::max(ctx.pending_edge_total[depth], pending.edges) -
+      graph::MatchableLabelHistograms(
+          ctx.pending_edge.data() + static_cast<size_t>(depth) * le,
+          pending.edge_counts.data(), ctx.edge_wild);
   return vertex_cost + edge_cost;
+}
+
+int PairSize(const GraphSummary& g, int pair) {
+  if (pair < 0) return 0;
+  const GraphSummary::Pair& p = g.pairs()[pair];
+  return p.end - p.begin;
+}
+
+// Edit cost between the edges of one a-pair and one b-pair (ids or -1).
+int PairCost(const SearchContext& ctx, int a_pair, int b_pair) {
+  if (a_pair < 0) return PairSize(ctx.b.graph, b_pair);
+  if (b_pair < 0) return PairSize(ctx.a.graph, a_pair);
+  return SortedEdgeSetCost(ctx.a.graph.PairLabels(ctx.a.graph.pairs()[a_pair]),
+                           ctx.b.graph.PairLabels(ctx.b.graph.pairs()[b_pair]),
+                           ctx.dict);
 }
 
 // Incremental cost of deciding a-vertex `u` (at `depth`) to map to b-vertex
 // `v` (or -1): vertex substitution/deletion plus edge costs against every
-// previously decided a-vertex.
-int ExtensionCost(const SearchContext& ctx, const State& state, int u,
-                  int v) {
-  int cost = 0;
-  if (v < 0) {
-    cost += 1;  // delete u
-  } else {
-    cost += SubstitutionCost(ctx.dict, ctx.a.vertex_label(u),
-                             ctx.b.vertex_label(v));
-  }
-  for (int d = 0; d < state.depth; ++d) {
-    int prev_u = ctx.order[d];
-    int prev_v = state.assignment[d];
+// previously decided a-vertex; assignment[d] is the image of order[d].
+int ExtensionCost(const SearchContext& ctx, const int* assignment, int depth,
+                  int u, int v) {
+  int cost = v < 0 ? 1 : ctx.sub[static_cast<size_t>(u) * ctx.m + v];
+  const int n = ctx.n;
+  const int m = ctx.m;
+  for (int d = 0; d < depth; ++d) {
+    const int prev_u = ctx.order[d];
+    const int prev_v = assignment[d];
     // Both directions between the pair.
-    std::vector<LabelId> a_out = ctx.a.EdgeLabelsBetween(u, prev_u);
-    std::vector<LabelId> a_in = ctx.a.EdgeLabelsBetween(prev_u, u);
+    const int a_out = ctx.a_pair[static_cast<size_t>(u) * n + prev_u];
+    const int a_in = ctx.a_pair[static_cast<size_t>(prev_u) * n + u];
     if (v < 0 || prev_v < 0) {
-      cost += static_cast<int>(a_out.size() + a_in.size());
+      cost += PairSize(ctx.a.graph, a_out) + PairSize(ctx.a.graph, a_in);
       continue;
     }
-    std::vector<LabelId> b_out = ctx.b.EdgeLabelsBetween(v, prev_v);
-    std::vector<LabelId> b_in = ctx.b.EdgeLabelsBetween(prev_v, v);
-    cost += EdgeSetCost(a_out, b_out, ctx.dict);
-    cost += EdgeSetCost(a_in, b_in, ctx.dict);
+    cost += PairCost(ctx, a_out, ctx.b_pair[static_cast<size_t>(v) * m + prev_v]);
+    cost += PairCost(ctx, a_in, ctx.b_pair[static_cast<size_t>(prev_v) * m + v]);
   }
   return cost;
 }
@@ -180,17 +346,8 @@ class GaugeMaxFlusher {
   const size_t& value_;
 };
 
-// Cost of completing a full assignment: insert every unused b-vertex and
-// every b-edge with at least one unused endpoint.
-int CompletionCost(const SearchContext& ctx, uint64_t used) {
-  int cost = 0;
-  for (int v = 0; v < ctx.b.num_vertices(); ++v) {
-    if (!((used >> v) & 1)) ++cost;
-  }
-  for (const graph::Edge& e : ctx.b.edges()) {
-    if (!((used >> e.src) & 1) || !((used >> e.dst) & 1)) ++cost;
-  }
-  return cost;
+SummaryView ViewOf(const GraphSummary& summary, const LabeledGraph& g) {
+  return SummaryView{summary, g.vertex_labels()};
 }
 
 }  // namespace
@@ -198,13 +355,13 @@ int CompletionCost(const SearchContext& ctx, uint64_t used) {
 int EdgeSetCost(const std::vector<LabelId>& from,
                 const std::vector<LabelId>& to,
                 const LabelDictionary& dict) {
-  if (from.empty() && to.empty()) return 0;
-  LabelCounts from_counts;
-  for (LabelId l : from) ++from_counts[l];
-  LabelCounts to_counts;
-  for (LabelId l : to) ++to_counts[l];
-  int matchable = MatchableLabelCount(from_counts, to_counts, dict);
-  return static_cast<int>(std::max(from.size(), to.size())) - matchable;
+  SmallBuffer<LabelId, 16> sorted_from(from.size());
+  SmallBuffer<LabelId, 16> sorted_to(to.size());
+  std::copy(from.begin(), from.end(), sorted_from.begin());
+  std::copy(to.begin(), to.end(), sorted_to.begin());
+  std::sort(sorted_from.begin(), sorted_from.end());
+  std::sort(sorted_to.begin(), sorted_to.end());
+  return SortedEdgeSetCost(sorted_from.span(), sorted_to.span(), dict);
 }
 
 int TrivialUpperBound(const LabeledGraph& a, const LabeledGraph& b) {
@@ -214,6 +371,16 @@ int TrivialUpperBound(const LabeledGraph& a, const LabeledGraph& b) {
 std::optional<GedResult> BoundedGed(const LabeledGraph& a,
                                     const LabeledGraph& b, int tau,
                                     const LabelDictionary& dict,
+                                    const GedOptions& options,
+                                    bool* aborted) {
+  const GraphSummary summary_a(a);
+  const GraphSummary summary_b(b);
+  return BoundedGed(ViewOf(summary_a, a), ViewOf(summary_b, b), tau, dict,
+                    options, aborted);
+}
+
+std::optional<GedResult> BoundedGed(const SummaryView& a, const SummaryView& b,
+                                    int tau, const LabelDictionary& dict,
                                     const GedOptions& options,
                                     bool* aborted) {
   SIMJ_CHECK_GE(tau, 0);
@@ -229,9 +396,7 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
   calls_total.Increment();
   if (aborted != nullptr) *aborted = false;
 
-  SearchContext ctx = BuildContext(a, b, dict);
   const int n = a.num_vertices();
-
   if (n == 0) {
     // Everything in b must be inserted.
     int distance = b.num_vertices() + b.num_edges();
@@ -239,12 +404,17 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
     return GedResult{distance, {}};
   }
 
-  std::priority_queue<State, std::vector<State>, StateOrder> open;
+  const SearchContext ctx = BuildContext(a, b, dict);
+  PendingB pending(ctx);
+  std::vector<int> assignment(n);  // images of order[0..depth) of a state
+  std::vector<Node> nodes;
+  std::priority_queue<OpenEntry, std::vector<OpenEntry>, StateOrder> open;
   {
-    State root;
-    root.f = Heuristic(ctx, 0, 0);
-    if (root.f > tau) return std::nullopt;
-    open.push(std::move(root));
+    pending.Fill(ctx, 0);
+    const int root_f = Heuristic(ctx, 0, pending);
+    if (root_f > tau) return std::nullopt;
+    nodes.push_back(Node{});
+    open.push(OpenEntry{root_f, 0, 0});
   }
 
   int64_t expansions = 0;
@@ -252,18 +422,19 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
   size_t open_peak = open.size();
   GaugeMaxFlusher flush_open_peak(open_list_peak, open_peak);
   while (!open.empty()) {
-    State state = open.top();
+    const OpenEntry top = open.top();
     open.pop();
-    if (state.f > tau) return std::nullopt;  // best possible exceeds tau
+    if (top.f > tau) return std::nullopt;  // best possible exceeds tau
+    const Node state = nodes[top.node];
 
-    if (state.depth == n) {
+    if (top.depth == n) {
       // Completion cost was already folded in when the last vertex was
       // decided (see below), so this state is a full solution.
       GedResult result;
       result.distance = state.g_cost;
       result.mapping.assign(n, -1);
-      for (int d = 0; d < n; ++d) {
-        result.mapping[ctx.order[d]] = state.assignment[d];
+      for (int k = top.node, d = n - 1; d >= 0; k = nodes[k].parent, --d) {
+        result.mapping[ctx.order[d]] = nodes[k].image;
       }
       // Debug-mode postcondition: the mapping witnesses the distance and
       // the distance sits inside the lower/upper bound sandwich.
@@ -278,24 +449,32 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
       return std::nullopt;
     }
 
-    int u = ctx.order[state.depth];
+    for (int k = top.node, d = top.depth - 1; d >= 0; k = nodes[k].parent, --d) {
+      assignment[d] = nodes[k].image;
+    }
+    pending.Fill(ctx, state.used);
+    const int depth = top.depth + 1;
+    const int u = ctx.order[top.depth];
     // Candidate images: every unused b-vertex, plus deletion.
-    for (int v = -1; v < b.num_vertices(); ++v) {
+    for (int v = -1; v < ctx.m; ++v) {
       if (v >= 0 && ((state.used >> v) & 1)) continue;
-      State next;
-      next.depth = state.depth + 1;
-      next.used = state.used | (v >= 0 ? (uint64_t{1} << v) : 0);
-      next.assignment = state.assignment;
-      next.assignment.push_back(v);
-      next.g_cost = state.g_cost + ExtensionCost(ctx, state, u, v);
-      if (next.depth == n) {
-        next.g_cost += CompletionCost(ctx, next.used);
-        next.f = next.g_cost;
+      int g_cost =
+          state.g_cost + ExtensionCost(ctx, assignment.data(), top.depth, u, v);
+      if (v >= 0) pending.Shift(ctx, state.used, v, -1);
+      int f;
+      if (depth == n) {
+        // Insert every unused b-vertex and every b-edge with an unused
+        // endpoint.
+        g_cost += pending.vertices + pending.edges;
+        f = g_cost;
       } else {
-        next.f = next.g_cost + Heuristic(ctx, next.depth, next.used);
+        f = g_cost + Heuristic(ctx, depth, pending);
       }
-      if (next.f <= tau) {
-        open.push(std::move(next));
+      if (v >= 0) pending.Shift(ctx, state.used, v, +1);
+      if (f <= tau) {
+        const uint64_t used = state.used | (v >= 0 ? (uint64_t{1} << v) : 0);
+        nodes.push_back(Node{top.node, v, g_cost, used});
+        open.push(OpenEntry{f, depth, static_cast<int>(nodes.size()) - 1});
         if (open.size() > open_peak) open_peak = open.size();
       }
     }
@@ -306,40 +485,52 @@ std::optional<GedResult> BoundedGed(const LabeledGraph& a,
 int MappingCost(const LabeledGraph& a, const LabeledGraph& b,
                 const std::vector<int>& mapping,
                 const LabelDictionary& dict) {
-  SIMJ_CHECK_EQ(static_cast<int>(mapping.size()), a.num_vertices());
+  const GraphSummary summary_a(a);
+  const GraphSummary summary_b(b);
+  return MappingCost(ViewOf(summary_a, a), ViewOf(summary_b, b), mapping,
+                     dict);
+}
+
+int MappingCost(const SummaryView& a, const SummaryView& b,
+                std::span<const int> mapping, const LabelDictionary& dict) {
+  const int n = a.num_vertices();
+  const int m = b.num_vertices();
+  SIMJ_CHECK_EQ(static_cast<int>(mapping.size()), n);
   int cost = 0;
-  std::vector<bool> used(b.num_vertices(), false);
-  for (int u = 0; u < a.num_vertices(); ++u) {
+  SmallBuffer<int, 64> preimage(m, -1);
+  for (int u = 0; u < n; ++u) {
     int v = mapping[u];
     if (v < 0) {
       cost += 1;  // delete u
       continue;
     }
-    SIMJ_CHECK(v < b.num_vertices());
-    SIMJ_CHECK(!used[v]);
-    used[v] = true;
-    cost += SubstitutionCost(dict, a.vertex_label(u), b.vertex_label(v));
+    SIMJ_CHECK(v < m);
+    SIMJ_CHECK(preimage[v] < 0);
+    preimage[v] = u;
+    cost += SubstitutionCost(dict, a.labels[u], b.labels[v]);
   }
-  for (int v = 0; v < b.num_vertices(); ++v) {
-    if (!used[v]) cost += 1;  // insert v
+  for (int v = 0; v < m; ++v) {
+    if (preimage[v] < 0) cost += 1;  // insert v
   }
-  // Edge costs: every ordered pair of a-vertices against its image pair;
-  // b-edges touching an uncovered vertex are insertions.
-  for (int u1 = 0; u1 < a.num_vertices(); ++u1) {
-    for (int u2 = 0; u2 < a.num_vertices(); ++u2) {
-      if (u1 == u2) continue;
-      std::vector<graph::LabelId> a_labels = a.EdgeLabelsBetween(u1, u2);
-      int v1 = mapping[u1];
-      int v2 = mapping[u2];
-      if (v1 < 0 || v2 < 0) {
-        cost += static_cast<int>(a_labels.size());
-      } else {
-        cost += EdgeSetCost(a_labels, b.EdgeLabelsBetween(v1, v2), dict);
-      }
+  // Edge costs: every joined a-pair against its image pair; b-pairs whose
+  // preimage pair is not joined are insertions, as are b-edges touching an
+  // uncovered vertex.
+  for (const GraphSummary::Pair& pair : a.graph.pairs()) {
+    const int v1 = mapping[pair.src];
+    const int v2 = mapping[pair.dst];
+    if (v1 < 0 || v2 < 0) {
+      cost += pair.end - pair.begin;
+    } else {
+      cost += SortedEdgeSetCost(a.graph.PairLabels(pair),
+                                b.graph.EdgeLabels(v1, v2), dict);
     }
   }
-  for (const graph::Edge& e : b.edges()) {
-    if (!used[e.src] || !used[e.dst]) cost += 1;
+  for (const GraphSummary::Pair& pair : b.graph.pairs()) {
+    const int u1 = preimage[pair.src];
+    const int u2 = preimage[pair.dst];
+    if (u1 < 0 || u2 < 0 || a.graph.EdgeLabels(u1, u2).empty()) {
+      cost += pair.end - pair.begin;
+    }
   }
   return cost;
 }
@@ -347,43 +538,53 @@ int MappingCost(const LabeledGraph& a, const LabeledGraph& b,
 int GreedyGedUpperBound(const LabeledGraph& a, const LabeledGraph& b,
                         const LabelDictionary& dict,
                         std::vector<int>* mapping_out) {
+  const GraphSummary summary_a(a);
+  const GraphSummary summary_b(b);
+  return GreedyGedUpperBound(ViewOf(summary_a, a), ViewOf(summary_b, b), dict,
+                             mapping_out);
+}
+
+int GreedyGedUpperBound(const SummaryView& a, const SummaryView& b,
+                        const LabelDictionary& dict,
+                        std::vector<int>* mapping_out) {
   const int n = a.num_vertices();
   const int m = b.num_vertices();
   if (n == 0 || m == 0) {
     if (mapping_out != nullptr) mapping_out->assign(n, -1);
-    return TrivialUpperBound(a, b);
+    return n + a.num_edges() + m + b.num_edges();
   }
 
   // Assignment over a square matrix of size n + m: rows 0..n-1 are
   // a-vertices, rows n.. are "insert" placeholders; columns 0..m-1 are
   // b-vertices, columns m.. are "delete" placeholders.
   const int size = n + m;
-  std::vector<std::vector<double>> cost(size, std::vector<double>(size, 0.0));
+  SmallBuffer<double, 1024> cost(static_cast<size_t>(size) * size, 0.0);
   for (int u = 0; u < n; ++u) {
+    double* row = cost.data() + static_cast<size_t>(u) * size;
     for (int v = 0; v < m; ++v) {
       // Substitution estimate: label cost plus half the degree difference
       // (each unmatched incident edge will cost at least an op somewhere).
-      cost[u][v] =
-          SubstitutionCost(dict, a.vertex_label(u), b.vertex_label(v)) +
-          0.5 * std::abs(a.degree(u) - b.degree(v));
+      row[v] = SubstitutionCost(dict, a.labels[u], b.labels[v]) +
+               0.5 * std::abs(a.graph.degree(u) - b.graph.degree(v));
     }
     for (int v = m; v < size; ++v) {
-      cost[u][v] = 1.0 + a.degree(u);  // delete u and its edges
+      row[v] = 1.0 + a.graph.degree(u);  // delete u and its edges
     }
   }
   for (int u = n; u < size; ++u) {
+    double* row = cost.data() + static_cast<size_t>(u) * size;
     for (int v = 0; v < m; ++v) {
-      cost[u][v] = 1.0 + b.degree(v);  // insert v and its edges
+      row[v] = 1.0 + b.graph.degree(v);  // insert v and its edges
     }
   }
-  std::vector<int> assignment;
-  matching::MinCostAssignment(cost, &assignment);
-  std::vector<int> mapping(n, -1);
+  SmallBuffer<int, 32> assignment(size);
+  matching::MinCostAssignment(cost.span(), size, size, assignment.span());
+  SmallBuffer<int, 32> mapping(n, -1);
   for (int u = 0; u < n; ++u) {
     if (assignment[u] < m) mapping[u] = assignment[u];
   }
-  int upper = MappingCost(a, b, mapping, dict);
-  if (mapping_out != nullptr) *mapping_out = std::move(mapping);
+  const int upper = MappingCost(a, b, mapping.span(), dict);
+  if (mapping_out != nullptr) mapping_out->assign(mapping.begin(), mapping.end());
   return upper;
 }
 
@@ -396,6 +597,15 @@ GedResult ExactGed(const LabeledGraph& a, const LabeledGraph& b,
 }
 
 Status ValidateGedResult(const LabeledGraph& a, const LabeledGraph& b,
+                         const GedResult& result,
+                         const LabelDictionary& dict) {
+  const GraphSummary summary_a(a);
+  const GraphSummary summary_b(b);
+  return ValidateGedResult(ViewOf(summary_a, a), ViewOf(summary_b, b), result,
+                           dict);
+}
+
+Status ValidateGedResult(const SummaryView& a, const SummaryView& b,
                          const GedResult& result,
                          const LabelDictionary& dict) {
   if (static_cast<int>(result.mapping.size()) != a.num_vertices()) {

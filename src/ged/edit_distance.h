@@ -12,14 +12,24 @@
 // provably exceeds the threshold, which is what the join's verification
 // phase needs. The optimal vertex mapping is returned because template
 // generation (paper Section 2.1 Step 3) is built from it.
+//
+// Every kernel has two forms. The SummaryView form reads a GraphSummary
+// (ged/graph_summary.h) plus a vertex-label array, so verification can
+// evaluate possible worlds without materializing them; the LabeledGraph
+// form summarizes its arguments and calls it. Each call works in flat
+// buffers that it owns: the A* keeps its states in one arena and its
+// label multisets as dense histograms (DESIGN.md §5).
 
 #ifndef SIMJ_GED_EDIT_DISTANCE_H_
 #define SIMJ_GED_EDIT_DISTANCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "ged/graph_summary.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "util/status.h"
@@ -49,6 +59,10 @@ struct GedOptions {
                                     const graph::LabelDictionary& dict,
                                     const GedOptions& options = GedOptions(),
                                     bool* aborted = nullptr);
+[[nodiscard]] std::optional<GedResult> BoundedGed(
+    const SummaryView& a, const SummaryView& b, int tau,
+    const graph::LabelDictionary& dict, const GedOptions& options = GedOptions(),
+    bool* aborted = nullptr);
 
 // Computes the exact ged(a, b) with no threshold.
 [[nodiscard]] GedResult ExactGed(const graph::LabeledGraph& a, const graph::LabeledGraph& b,
@@ -68,6 +82,20 @@ struct GedOptions {
                 const std::vector<graph::LabelId>& to,
                 const graph::LabelDictionary& dict);
 
+// The same for label lists that are already sorted (GraphSummary pairs).
+[[nodiscard]] inline int SortedEdgeSetCost(std::span<const graph::LabelId> from,
+                                           std::span<const graph::LabelId> to,
+                                           const graph::LabelDictionary& dict) {
+  // Nearly every vertex pair carries zero or one edge.
+  if (from.empty()) return static_cast<int>(to.size());
+  if (to.empty()) return static_cast<int>(from.size());
+  if (from.size() == 1 && to.size() == 1) {
+    return SubstitutionCost(dict, from[0], to[0]);
+  }
+  return static_cast<int>(std::max(from.size(), to.size())) -
+         graph::MatchableSortedLabels(from, to, dict);
+}
+
 // A trivially valid upper bound on ged(a, b): delete everything in `a`,
 // insert everything in `b`. Used as the open threshold for ExactGed.
 [[nodiscard]] int TrivialUpperBound(const graph::LabeledGraph& a,
@@ -79,6 +107,9 @@ struct GedOptions {
 [[nodiscard]] int MappingCost(const graph::LabeledGraph& a, const graph::LabeledGraph& b,
                 const std::vector<int>& mapping,
                 const graph::LabelDictionary& dict);
+[[nodiscard]] int MappingCost(const SummaryView& a, const SummaryView& b,
+                              std::span<const int> mapping,
+                              const graph::LabelDictionary& dict);
 
 // Postcondition validator for a GED solver result (the debug build runs it
 // after every successful BoundedGed/ExactGed call; tests call it directly).
@@ -93,6 +124,9 @@ struct GedOptions {
 Status ValidateGedResult(const graph::LabeledGraph& a,
                          const graph::LabeledGraph& b, const GedResult& result,
                          const graph::LabelDictionary& dict);
+Status ValidateGedResult(const SummaryView& a, const SummaryView& b,
+                         const GedResult& result,
+                         const graph::LabelDictionary& dict);
 
 // Fast upper bound on ged(a, b): the cost of the assignment that minimizes
 // per-vertex substitution + local edge-degree costs (the bipartite
@@ -104,6 +138,9 @@ Status ValidateGedResult(const graph::LabeledGraph& a,
                         const graph::LabeledGraph& b,
                         const graph::LabelDictionary& dict,
                         std::vector<int>* mapping = nullptr);
+[[nodiscard]] int GreedyGedUpperBound(const SummaryView& a, const SummaryView& b,
+                                      const graph::LabelDictionary& dict,
+                                      std::vector<int>* mapping = nullptr);
 
 }  // namespace simj::ged
 

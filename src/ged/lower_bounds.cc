@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-
+#include <functional>
 #include <vector>
 
 #include "matching/bipartite.h"
 #include "matching/hungarian.h"
 #include "util/metrics.h"
+#include "util/small_buffer.h"
 
 namespace simj::ged {
 
@@ -16,25 +17,35 @@ namespace {
 using graph::LabelCounts;
 using graph::LabeledGraph;
 using graph::LabelDictionary;
+using graph::LabelId;
 using graph::UncertainGraph;
 
 // ceil(dif / 2): DelEdge is an integer and DelEdge >= dif/2 (Lemma 4), so
 // rounding up keeps the bound valid and slightly tightens it.
 int HalfRoundedUp(int dif) { return (dif + 1) / 2; }
 
-// One orientation of Thm. 1 with `small` having at most as many vertices
-// as `big`.
-int CssOriented(const LabeledGraph& small, const LabeledGraph& big,
-                const LabelDictionary& dict) {
-  int lambda_v = MatchableLabelCount(small.VertexLabelCounts(),
-                                     big.VertexLabelCounts(), dict);
-  int lambda_e = MatchableLabelCount(small.EdgeLabelCounts(),
-                                     big.EdgeLabelCounts(), dict);
-  int dif = graph::DegreeDistanceFromSorted(small.SortedDegrees(),
-                                            big.SortedDegrees());
-  return std::max(0, big.num_vertices() + big.num_edges() - lambda_e +
-                         HalfRoundedUp(dif) - lambda_v);
-}
+// StructureFacts of a graph in stack buffers, for one-off bounds that do
+// not hold a GraphSummary.
+class StackFacts {
+ public:
+  explicit StackFacts(const LabeledGraph& g)
+      : degrees_(g.num_vertices()), edge_labels_(g.num_edges()) {
+    for (int v = 0; v < g.num_vertices(); ++v) degrees_[v] = g.degree(v);
+    std::sort(degrees_.begin(), degrees_.end(), std::greater<int>());
+    for (int e = 0; e < g.num_edges(); ++e) edge_labels_[e] = g.edge(e).label;
+    std::sort(edge_labels_.begin(), edge_labels_.end());
+  }
+
+  StructureFacts facts() const {
+    return {static_cast<int>(degrees_.size()),
+            static_cast<int>(edge_labels_.size()), degrees_.span(),
+            edge_labels_.span()};
+  }
+
+ private:
+  SmallBuffer<int, 32> degrees_;
+  SmallBuffer<LabelId, 64> edge_labels_;
+};
 
 }  // namespace
 
@@ -123,68 +134,85 @@ int CStarLowerBound(const LabeledGraph& a, const LabeledGraph& b,
   return static_cast<int>(mu) / delta;
 }
 
+int MatchableVertexLabels(std::span<const LabelId> a,
+                          std::span<const LabelId> b,
+                          const LabelDictionary& dict) {
+  SmallBuffer<LabelId, 32> sorted_a(a.size());
+  SmallBuffer<LabelId, 32> sorted_b(b.size());
+  std::copy(a.begin(), a.end(), sorted_a.begin());
+  std::copy(b.begin(), b.end(), sorted_b.begin());
+  std::sort(sorted_a.begin(), sorted_a.end());
+  std::sort(sorted_b.begin(), sorted_b.end());
+  return graph::MatchableSortedLabels(sorted_a.span(), sorted_b.span(), dict);
+}
+
+// Thm. 1 is C - lambda_V with the C of Thm. 3 (a certain graph is an
+// uncertain one with a single world): both orientations of a vertex-count
+// tie are valid, and C keeps the tighter one.
 int CssLowerBound(const LabeledGraph& a, const LabeledGraph& b,
                   const LabelDictionary& dict) {
-  if (a.num_vertices() < b.num_vertices()) return CssOriented(a, b, dict);
-  if (b.num_vertices() < a.num_vertices()) return CssOriented(b, a, dict);
-  // Tie: both orientations are valid; keep the tighter one.
-  return std::max(CssOriented(a, b, dict), CssOriented(b, a, dict));
+  return std::max(0, CssStructuralConstant(StackFacts(a).facts(),
+                                           StackFacts(b).facts(), dict) -
+                         MatchableVertexLabels(a.vertex_labels(),
+                                               b.vertex_labels(), dict));
+}
+
+int CssLowerBound(const SummaryView& a, const SummaryView& b,
+                  const LabelDictionary& dict) {
+  return std::max(0, CssStructuralConstant(a.graph.facts(), b.graph.facts(),
+                                           dict) -
+                         MatchableVertexLabels(a.labels, b.labels, dict));
 }
 
 int MaxCommonVertexLabels(const LabeledGraph& q, const UncertainGraph& g,
                           const LabelDictionary& dict) {
-  matching::BipartiteGraph bipartite(g.num_vertices(), q.num_vertices());
+  const std::vector<LabelId>& q_labels = q.vertex_labels();
+  const int nq = q.num_vertices();
+  SmallBuffer<uint8_t, 32> q_wild(nq);
+  for (int u = 0; u < nq; ++u) q_wild[u] = dict.IsWildcard(q_labels[u]) ? 1 : 0;
+  // g-vertex v links to q-vertex u when some alternative of v matches u.
+  matching::BipartiteGraph bipartite(g.num_vertices(), nq);
   for (int v = 0; v < g.num_vertices(); ++v) {
-    for (int u = 0; u < q.num_vertices(); ++u) {
-      bool linkable = false;
-      for (const graph::LabelAlternative& alt : g.alternatives(v)) {
-        if (dict.Matches(alt.label, q.vertex_label(u))) {
-          linkable = true;
-          break;
+    for (const graph::LabelAlternative& alt : g.alternatives(v)) {
+      const bool alt_wild = dict.IsWildcard(alt.label);
+      for (int u = 0; u < nq; ++u) {
+        if (alt_wild || q_wild[u] || alt.label == q_labels[u]) {
+          bipartite.AddEdge(v, u);
         }
       }
-      if (linkable) bipartite.AddEdge(v, u);
     }
   }
   return bipartite.MaxMatching();
 }
 
+int CssStructuralConstant(const StructureFacts& q, const StructureFacts& g,
+                          const LabelDictionary& dict) {
+  const int lambda_e = graph::MatchableSortedLabels(
+      q.sorted_edge_labels, g.sorted_edge_labels, dict);
+  auto oriented = [lambda_e](const StructureFacts& small,
+                             const StructureFacts& big) {
+    const int dif = graph::DegreeDistanceFromSorted(small.sorted_degrees,
+                                                    big.sorted_degrees);
+    return big.num_vertices + big.num_edges - lambda_e + HalfRoundedUp(dif);
+  };
+  if (q.num_vertices < g.num_vertices) return oriented(q, g);
+  if (g.num_vertices < q.num_vertices) return oriented(g, q);
+  return std::max(oriented(q, g), oriented(g, q));
+}
+
 int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
                           const LabelDictionary& dict) {
-  LabelCounts q_edges = q.EdgeLabelCounts();
-  LabelCounts g_edges = g.EdgeLabelCounts();
-  int lambda_e = MatchableLabelCount(q_edges, g_edges, dict);
-
-  std::vector<int> q_degrees = q.SortedDegrees();
-  std::vector<int> g_degrees = g.SortedDegrees();
-
-  auto oriented = [&](const std::vector<int>& small_deg, int big_v,
-                      int big_e) {
-    const std::vector<int>& big_deg =
-        (&small_deg == &q_degrees) ? g_degrees : q_degrees;
-    int dif = graph::DegreeDistanceFromSorted(small_deg, big_deg);
-    return big_v + big_e - lambda_e + HalfRoundedUp(dif);
-  };
-
-  if (q.num_vertices() < g.num_vertices()) {
-    return oriented(q_degrees, g.num_vertices(), g.num_edges());
-  }
-  if (g.num_vertices() < q.num_vertices()) {
-    return oriented(g_degrees, q.num_vertices(), q.num_edges());
-  }
-  return std::max(oriented(q_degrees, g.num_vertices(), g.num_edges()),
-                  oriented(g_degrees, q.num_vertices(), q.num_edges()));
+  return CssStructuralConstant(StackFacts(q).facts(),
+                               StackFacts(g.structure()).facts(), dict);
 }
 
 int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
                            const LabelDictionary& dict) {
+  // Callers time this bound themselves (the join's structural-filter
+  // histogram); the exact call count stays here.
   static metrics::Counter& calls = metrics::Registry::Global().GetCounter(
       "simj_bound_css_uncertain_total");
-  static metrics::Histogram& seconds =
-      metrics::Registry::Global().GetHistogram(
-          "simj_bound_css_uncertain_seconds");
   calls.Increment();
-  metrics::ScopedLatency latency(seconds);
   return std::max(0, CssStructuralConstant(q, g, dict) -
                          MaxCommonVertexLabels(q, g, dict));
 }

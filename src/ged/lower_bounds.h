@@ -15,6 +15,9 @@
 #ifndef SIMJ_GED_LOWER_BOUNDS_H_
 #define SIMJ_GED_LOWER_BOUNDS_H_
 
+#include <span>
+
+#include "ged/graph_summary.h"
 #include "graph/label.h"
 #include "graph/labeled_graph.h"
 #include "graph/uncertain_graph.h"
@@ -45,6 +48,17 @@ namespace simj::ged {
 // both orientations are valid and the larger bound is returned).
 [[nodiscard]] int CssLowerBound(const graph::LabeledGraph& a, const graph::LabeledGraph& b,
                   const graph::LabelDictionary& dict);
+[[nodiscard]] int CssLowerBound(const SummaryView& a, const SummaryView& b,
+                                const graph::LabelDictionary& dict);
+
+// lambda_V of two vertex-label lists (any order): the wildcard-aware
+// common label count. CssLowerBound(a, b) equals
+// max(0, CssStructuralConstant(a, b) - lambda_V(a, b)), so a caller that
+// holds the constant of a possible-world group bounds each world with
+// this alone.
+[[nodiscard]] int MatchableVertexLabels(std::span<const graph::LabelId> a,
+                                        std::span<const graph::LabelId> b,
+                                        const graph::LabelDictionary& dict);
 
 // Number of common vertex labels lambda_V(q, g) maximized over all possible
 // worlds of g: maximum matching of the vertex-label bipartite graph
@@ -60,6 +74,10 @@ namespace simj::ged {
 [[nodiscard]] int CssStructuralConstant(const graph::LabeledGraph& q,
                           const graph::UncertainGraph& g,
                           const graph::LabelDictionary& dict);
+// The same from precomputed facts (e.g. GraphSummary::facts()).
+[[nodiscard]] int CssStructuralConstant(const StructureFacts& q,
+                                        const StructureFacts& g,
+                                        const graph::LabelDictionary& dict);
 
 // The CSS bound for an uncertain graph (Thm. 3): valid lower bound on
 // ged(q, pw(g)) for every possible world pw(g).

@@ -11,7 +11,7 @@ LabelId LabelDictionary::Intern(std::string_view name) {
   SIMJ_CHECK(!frozen());
   LabelId id = static_cast<LabelId>(names_.size());
   names_.emplace_back(name);
-  is_wildcard_.push_back(!name.empty() && name.front() == '?');
+  is_wildcard_.push_back(!name.empty() && name.front() == '?' ? 1 : 0);
   index_.emplace(names_.back(), id);
   return id;
 }
@@ -23,12 +23,8 @@ LabelId LabelDictionary::Find(std::string_view name) const {
 
 int MatchableLabelCount(const LabelCounts& a, const LabelCounts& b,
                         const LabelDictionary& dict) {
-  // Exact matches between identical non-wildcard labels, then wildcards
-  // soak up the leftovers. Greedily matching wildcards against leftover
-  // non-wildcards first is optimal: wildcard-wildcard pairs consume two
-  // flexible items for one match.
   int exact = 0;
-  int rem_a_nonwild = 0;
+  int rem_a = 0;
   int wild_a = 0;
   for (const auto& [label, count] : a) {
     if (dict.IsWildcard(label)) {
@@ -36,14 +32,11 @@ int MatchableLabelCount(const LabelCounts& a, const LabelCounts& b,
       continue;
     }
     auto it = b.find(label);
-    int matched = 0;
-    if (it != b.end() && !dict.IsWildcard(it->first)) {
-      matched = std::min(count, it->second);
-    }
+    int matched = it == b.end() ? 0 : std::min(count, it->second);
     exact += matched;
-    rem_a_nonwild += count - matched;
+    rem_a += count - matched;
   }
-  int rem_b_nonwild = 0;
+  int rem_b = 0;
   int wild_b = 0;
   for (const auto& [label, count] : b) {
     if (dict.IsWildcard(label)) {
@@ -51,14 +44,37 @@ int MatchableLabelCount(const LabelCounts& a, const LabelCounts& b,
       continue;
     }
     auto it = a.find(label);
-    int matched = 0;
-    if (it != a.end()) matched = std::min(count, it->second);
-    rem_b_nonwild += count - matched;
+    int matched = it == a.end() ? 0 : std::min(count, it->second);
+    rem_b += count - matched;
   }
-  int m1 = std::min(wild_a, rem_b_nonwild);
-  int m2 = std::min(wild_b, rem_a_nonwild);
-  int m3 = std::min(wild_a - m1, wild_b - m2);
-  return exact + m1 + m2 + m3;
+  return CombineMatchable(exact, rem_a, wild_a, rem_b, wild_b);
+}
+
+int MatchableSortedLabels(std::span<const LabelId> a,
+                          std::span<const LabelId> b,
+                          const LabelDictionary& dict) {
+  int exact = 0, rem_a = 0, wild_a = 0, rem_b = 0, wild_b = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+      ++(dict.IsWildcard(a[i]) ? wild_a : rem_a);
+      ++i;
+    } else if (i == a.size() || b[j] < a[i]) {
+      ++(dict.IsWildcard(b[j]) ? wild_b : rem_b);
+      ++j;
+    } else {
+      if (dict.IsWildcard(a[i])) {
+        ++wild_a;
+        ++wild_b;
+      } else {
+        ++exact;
+      }
+      ++i;
+      ++j;
+    }
+  }
+  return CombineMatchable(exact, rem_a, wild_a, rem_b, wild_b);
 }
 
 }  // namespace simj::graph

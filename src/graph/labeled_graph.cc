@@ -151,8 +151,8 @@ std::string LabeledGraph::DebugString(const LabelDictionary& dict) const {
   return out.str();
 }
 
-int DegreeDistanceFromSorted(const std::vector<int>& small_sorted,
-                             const std::vector<int>& big_sorted) {
+int DegreeDistanceFromSorted(std::span<const int> small_sorted,
+                             std::span<const int> big_sorted) {
   SIMJ_CHECK_LE(small_sorted.size(), big_sorted.size());
   int total = 0;
   for (size_t i = 0; i < small_sorted.size(); ++i) {

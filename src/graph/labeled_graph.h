@@ -10,6 +10,7 @@
 #ifndef SIMJ_GRAPH_LABELED_GRAPH_H_
 #define SIMJ_GRAPH_LABELED_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@ class LabeledGraph {
   int num_vertices() const { return static_cast<int>(vertex_labels_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 
+  const std::vector<LabelId>& vertex_labels() const { return vertex_labels_; }
   LabelId vertex_label(int v) const {
     SIMJ_CHECK(v >= 0 && v < num_vertices());
     return vertex_labels_[v];
@@ -110,8 +112,13 @@ class LabeledGraph {
 [[nodiscard]] int DegreeDistance(const LabeledGraph& a, const LabeledGraph& b);
 
 // Same, from precomputed non-increasing degree sequences.
-[[nodiscard]] int DegreeDistanceFromSorted(const std::vector<int>& small_sorted,
-                             const std::vector<int>& big_sorted);
+[[nodiscard]] int DegreeDistanceFromSorted(std::span<const int> small_sorted,
+                                           std::span<const int> big_sorted);
+[[nodiscard]] inline int DegreeDistanceFromSorted(
+    const std::vector<int>& small_sorted, const std::vector<int>& big_sorted) {
+  return DegreeDistanceFromSorted(std::span<const int>(small_sorted),
+                                  std::span<const int>(big_sorted));
+}
 
 }  // namespace simj::graph
 

@@ -1,89 +1,70 @@
 #include "matching/bipartite.h"
 
-#include <functional>
-#include <limits>
-#include <queue>
+#include <algorithm>
 
 #include "util/check.h"
 
 namespace simj::matching {
 
 namespace {
-constexpr int kInfinity = std::numeric_limits<int>::max();
+
+size_t CheckedArea(int num_left, int num_right) {
+  SIMJ_CHECK_GE(num_left, 0);
+  SIMJ_CHECK_GE(num_right, 0);
+  return static_cast<size_t>(num_left) * static_cast<size_t>(num_right);
+}
+
 }  // namespace
 
 BipartiteGraph::BipartiteGraph(int num_left, int num_right)
-    : adj_(num_left), num_right_(num_right) {
-  SIMJ_CHECK_GE(num_left, 0);
-  SIMJ_CHECK_GE(num_right, 0);
-}
+    : num_left_(num_left),
+      num_right_(num_right),
+      adjacent_(CheckedArea(num_left, num_right), 0) {}
 
 void BipartiteGraph::AddEdge(int left, int right) {
-  SIMJ_CHECK(left >= 0 && left < num_left());
+  SIMJ_CHECK(left >= 0 && left < num_left_);
   SIMJ_CHECK(right >= 0 && right < num_right_);
-  adj_[left].push_back(right);
+  adjacent_[static_cast<size_t>(left) * num_right_ + right] = 1;
+}
+
+// Kuhn's augmenting path from `left` over right vertices not yet visited
+// in this round.
+bool BipartiteGraph::Augment(int left, int* match_of_right,
+                             uint8_t* visited) const {
+  const uint8_t* row = adjacent_.data() + static_cast<size_t>(left) * num_right_;
+  for (int r = 0; r < num_right_; ++r) {
+    if (!row[r] || visited[r]) continue;
+    visited[r] = 1;
+    if (match_of_right[r] < 0 ||
+        Augment(match_of_right[r], match_of_right, visited)) {
+      match_of_right[r] = left;
+      return true;
+    }
+  }
+  return false;
+}
+
+int BipartiteGraph::Match(int* match_of_right) const {
+  SmallBuffer<uint8_t, 64> visited(num_right_, 0);
+  int matching = 0;
+  for (int l = 0; l < num_left_; ++l) {
+    std::fill(visited.begin(), visited.end(), 0);
+    if (Augment(l, match_of_right, visited.data())) ++matching;
+  }
+  return matching;
 }
 
 int BipartiteGraph::MaxMatching() const {
-  std::vector<int> unused;
-  return MaxMatching(&unused);
+  SmallBuffer<int, 64> match_of_right(num_right_, -1);
+  return Match(match_of_right.data());
 }
 
 int BipartiteGraph::MaxMatching(std::vector<int>* match_of_left) const {
-  const int n = num_left();
-  const int m = num_right_;
-  std::vector<int>& match_l = *match_of_left;
-  match_l.assign(n, -1);
-  std::vector<int> match_r(m, -1);
-  std::vector<int> dist(n, 0);
-
-  // Hopcroft-Karp: repeatedly find a maximal set of shortest augmenting
-  // paths via BFS layering + DFS augmentation.
-  auto bfs = [&]() -> bool {
-    std::queue<int> queue;
-    for (int l = 0; l < n; ++l) {
-      if (match_l[l] == -1) {
-        dist[l] = 0;
-        queue.push(l);
-      } else {
-        dist[l] = kInfinity;
-      }
-    }
-    bool found_free = false;
-    while (!queue.empty()) {
-      int l = queue.front();
-      queue.pop();
-      for (int r : adj_[l]) {
-        int next = match_r[r];
-        if (next == -1) {
-          found_free = true;
-        } else if (dist[next] == kInfinity) {
-          dist[next] = dist[l] + 1;
-          queue.push(next);
-        }
-      }
-    }
-    return found_free;
-  };
-
-  std::function<bool(int)> dfs = [&](int l) -> bool {
-    for (int r : adj_[l]) {
-      int next = match_r[r];
-      if (next == -1 || (dist[next] == dist[l] + 1 && dfs(next))) {
-        match_l[l] = r;
-        match_r[r] = l;
-        return true;
-      }
-    }
-    dist[l] = kInfinity;
-    return false;
-  };
-
-  int matching = 0;
-  while (bfs()) {
-    for (int l = 0; l < n; ++l) {
-      if (match_l[l] == -1 && dfs(l)) ++matching;
-    }
+  SmallBuffer<int, 64> match_of_right(num_right_, -1);
+  const int matching = Match(match_of_right.data());
+  match_of_left->assign(num_left_, -1);
+  for (int r = 0; r < num_right_; ++r) {
+    if (match_of_right[r] >= 0) (*match_of_left)[match_of_right[r]] = r;
   }
   return matching;
 }

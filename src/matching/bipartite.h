@@ -1,4 +1,4 @@
-// Maximum-cardinality bipartite matching (Hopcroft-Karp).
+// Maximum-cardinality bipartite matching.
 //
 // Used to evaluate lambda_V(q, g) for uncertain graphs: the size of a
 // maximum matching in the vertex-label bipartite graph (paper Def. 10),
@@ -8,22 +8,27 @@
 #ifndef SIMJ_MATCHING_BIPARTITE_H_
 #define SIMJ_MATCHING_BIPARTITE_H_
 
+#include <cstdint>
 #include <vector>
+
+#include "util/small_buffer.h"
 
 namespace simj::matching {
 
 // Bipartite graph with `num_left` and `num_right` vertices; edges are added
-// explicitly. MaxMatching() returns the size of a maximum matching.
+// explicitly. The adjacency is a flat num_left x num_right matrix that
+// lives inside the object for the small graphs of a join, so building and
+// matching one allocates nothing.
 class BipartiteGraph {
  public:
   BipartiteGraph(int num_left, int num_right);
 
   void AddEdge(int left, int right);
 
-  int num_left() const { return static_cast<int>(adj_.size()); }
+  int num_left() const { return num_left_; }
   int num_right() const { return num_right_; }
 
-  // Size of a maximum-cardinality matching (Hopcroft-Karp, O(E sqrt(V))).
+  // Size of a maximum-cardinality matching (augmenting paths, O(V E)).
   int MaxMatching() const;
 
   // As MaxMatching(), and fills match_of_left[l] with the matched right
@@ -31,8 +36,14 @@ class BipartiteGraph {
   int MaxMatching(std::vector<int>* match_of_left) const;
 
  private:
-  std::vector<std::vector<int>> adj_;
+  // Fills match_of_right (size num_right, all -1 on entry) with a maximum
+  // matching and returns its size.
+  int Match(int* match_of_right) const;
+  bool Augment(int left, int* match_of_right, uint8_t* visited) const;
+
+  int num_left_;
   int num_right_;
+  SmallBuffer<uint8_t, 256> adjacent_;  // [left * num_right + right]
 };
 
 }  // namespace simj::matching

@@ -65,6 +65,12 @@ constexpr const char* kSyllables[] = {"ka", "ro", "min", "tel", "dor", "va",
                                       "lu", "shan", "pe", "gri", "zo", "mar",
                                       "li", "ben", "tu", "sa"};
 
+// 16 syllables make only 4,352 names of 2-3 syllables, so a large KB runs
+// out of fresh ones. After this many collisions in a row every later name
+// gets one syllable more. No draw changes until such a run happens, so a
+// smaller KB is the same with or without the fallback.
+constexpr int kMaxNameCollisions = 4096;
+
 std::string RandomName(Rng& rng, int syllables) {
   std::string out;
   for (int i = 0; i < syllables; ++i) {
@@ -160,6 +166,7 @@ void KnowledgeBase::BuildEntities(const KbConfig& config, Rng& rng) {
   // Phrase -> entity indices sharing it (for ambiguity bookkeeping).
   std::unordered_map<std::string, std::vector<int>> entities_of_phrase;
   std::vector<std::string> reusable_phrases;
+  int extra_syllables = 0;
 
   for (size_t c = 0; c < classes_.size(); ++c) {
     for (int k = 0; k < config.entities_per_class; ++k) {
@@ -174,9 +181,16 @@ void KnowledgeBase::BuildEntities(const KbConfig& config, Rng& rng) {
       } else if (rng.Bernoulli(config.trap_phrase_fraction)) {
         info.phrase = RandomName(rng, 2) + " and " + RandomName(rng, 2);
       } else {
-        do {
-          info.phrase = RandomName(rng, static_cast<int>(rng.Uniform(2, 3)));
-        } while (entities_of_phrase.contains(info.phrase));
+        int collisions = 0;
+        while (true) {
+          info.phrase = RandomName(
+              rng, static_cast<int>(rng.Uniform(2, 3)) + extra_syllables);
+          if (!entities_of_phrase.contains(info.phrase)) break;
+          if (++collisions == kMaxNameCollisions) {
+            ++extra_syllables;
+            collisions = 0;
+          }
+        }
         reusable_phrases.push_back(info.phrase);
       }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <functional>
 #include <optional>
 
@@ -160,6 +161,109 @@ TEST(EdgeSetCostTest, MultisetEdgeTransforms) {
   EXPECT_EQ(EdgeSetCost({f.rel1, f.rel1}, {f.rel1, f.rel2, f.rel2}, f.dict),
             2);
   EXPECT_EQ(EdgeSetCost({}, {}, f.dict), 0);
+}
+
+// EdgeSetCost (and its sorted form) against max(|from|, |to|) minus the
+// map-based MatchableLabelCount, on seeded random parallel-edge multisets
+// with wildcard edge labels.
+TEST(EdgeSetCostTest, FlatKernelEqualsTheReference) {
+  LabelDictionary dict;
+  const std::vector<graph::LabelId> pool = {
+      dict.Intern("r1"), dict.Intern("r2"), dict.Intern("r3"),
+      dict.Intern("?e")};
+  Rng rng(20261019);
+  for (int trial = 0; trial < 3000; ++trial) {
+    auto draw = [&]() {
+      std::vector<graph::LabelId> labels(rng.Uniform(0, 4));
+      for (graph::LabelId& label : labels) {
+        label = pool[rng.Uniform(0, pool.size() - 1)];
+      }
+      return labels;
+    };
+    const std::vector<graph::LabelId> from = draw();
+    const std::vector<graph::LabelId> to = draw();
+    graph::LabelCounts from_counts;
+    graph::LabelCounts to_counts;
+    for (graph::LabelId label : from) ++from_counts[label];
+    for (graph::LabelId label : to) ++to_counts[label];
+    const int reference =
+        static_cast<int>(std::max(from.size(), to.size())) -
+        graph::MatchableLabelCount(from_counts, to_counts, dict);
+    EXPECT_EQ(EdgeSetCost(from, to, dict), reference);
+    std::vector<graph::LabelId> sorted_from = from;
+    std::vector<graph::LabelId> sorted_to = to;
+    std::sort(sorted_from.begin(), sorted_from.end());
+    std::sort(sorted_to.begin(), sorted_to.end());
+    EXPECT_EQ(SortedEdgeSetCost(sorted_from, sorted_to, dict), reference);
+  }
+}
+
+// MappingCost walks joined vertex pairs only; the reference compares every
+// ordered pair of a-vertices through EdgeLabelsBetween with the map-based
+// label matching, on random graphs and random injective mappings with
+// wildcard vertex and edge labels.
+TEST(MappingCostTest, PairwiseReferenceWithWildcards) {
+  LabelDictionary dict;
+  auto vlabels = simj::testing::TestLabels(dict, 3);
+  vlabels.push_back(dict.Intern("?x"));
+  const std::vector<graph::LabelId> elabels = {dict.Intern("r1"),
+                                               dict.Intern("r2"),
+                                               dict.Intern("?e")};
+  auto edge_cost = [&](const std::vector<graph::LabelId>& from,
+                       const std::vector<graph::LabelId>& to) {
+    graph::LabelCounts from_counts;
+    graph::LabelCounts to_counts;
+    for (graph::LabelId label : from) ++from_counts[label];
+    for (graph::LabelId label : to) ++to_counts[label];
+    return static_cast<int>(std::max(from.size(), to.size())) -
+           graph::MatchableLabelCount(from_counts, to_counts, dict);
+  };
+  Rng rng(4300);
+  for (int trial = 0; trial < 300; ++trial) {
+    LabeledGraph a = simj::testing::RandomCertainGraph(
+        rng, vlabels, elabels, static_cast<int>(rng.Uniform(0, 6)),
+        static_cast<int>(rng.Uniform(0, 10)));
+    LabeledGraph b = simj::testing::RandomCertainGraph(
+        rng, vlabels, elabels, static_cast<int>(rng.Uniform(0, 6)),
+        static_cast<int>(rng.Uniform(0, 10)));
+    std::vector<int> images(b.num_vertices());
+    for (int v = 0; v < b.num_vertices(); ++v) images[v] = v;
+    rng.Shuffle(images);
+    std::vector<int> mapping(a.num_vertices(), -1);
+    for (int u = 0; u < a.num_vertices(); ++u) {
+      if (u < b.num_vertices() && rng.Bernoulli(0.8)) mapping[u] = images[u];
+    }
+
+    int reference = 0;
+    std::vector<bool> used(b.num_vertices(), false);
+    for (int u = 0; u < a.num_vertices(); ++u) {
+      if (mapping[u] < 0) {
+        reference += 1;
+        continue;
+      }
+      used[mapping[u]] = true;
+      reference += SubstitutionCost(dict, a.vertex_label(u),
+                                    b.vertex_label(mapping[u]));
+    }
+    for (int v = 0; v < b.num_vertices(); ++v) reference += used[v] ? 0 : 1;
+    for (int u1 = 0; u1 < a.num_vertices(); ++u1) {
+      for (int u2 = 0; u2 < a.num_vertices(); ++u2) {
+        if (u1 == u2) continue;
+        const std::vector<graph::LabelId> a_labels = a.EdgeLabelsBetween(u1, u2);
+        if (mapping[u1] < 0 || mapping[u2] < 0) {
+          reference += static_cast<int>(a_labels.size());
+        } else {
+          reference += edge_cost(
+              a_labels, b.EdgeLabelsBetween(mapping[u1], mapping[u2]));
+        }
+      }
+    }
+    for (const graph::Edge& e : b.edges()) {
+      if (!used[e.src] || !used[e.dst]) reference += 1;
+    }
+    EXPECT_EQ(MappingCost(a, b, mapping, dict), reference)
+        << a.DebugString(dict) << b.DebugString(dict);
+  }
 }
 
 TEST(GedTest, BoundedGedRespectsThreshold) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -79,6 +80,52 @@ TEST(MatchableLabelCountTest, WildcardOnBothSides) {
   LabelCounts right{{a, 1}, {var2, 2}};
   // Both wildcards on the left match; capped by left size.
   EXPECT_EQ(MatchableLabelCount(left, right, dict), 2);
+}
+
+// The flat forms (sorted arrays, dense histograms) against the map-based
+// reference on seeded random multisets with wildcards on both sides.
+TEST(MatchableLabelCountTest, FlatKernelsEqualTheReference) {
+  LabelDictionary dict;
+  std::vector<LabelId> pool = testing::TestLabels(dict, 4);
+  pool.push_back(dict.Intern("?a"));
+  pool.push_back(dict.Intern("?b"));
+  std::vector<uint8_t> wild(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    wild[i] = dict.IsWildcard(pool[i]) ? 1 : 0;
+  }
+  Rng rng(20261018);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Dense id = index into `pool`.
+    auto draw = [&]() {
+      std::vector<int> ids(rng.Uniform(0, 9));
+      for (int& id : ids) id = static_cast<int>(rng.Uniform(0, pool.size() - 1));
+      return ids;
+    };
+    const std::vector<int> a_ids = draw();
+    const std::vector<int> b_ids = draw();
+    LabelCounts a_counts;
+    LabelCounts b_counts;
+    std::vector<LabelId> a_sorted;
+    std::vector<LabelId> b_sorted;
+    std::vector<int> a_hist(pool.size(), 0);
+    std::vector<int> b_hist(pool.size(), 0);
+    for (int id : a_ids) {
+      ++a_counts[pool[id]];
+      a_sorted.push_back(pool[id]);
+      ++a_hist[id];
+    }
+    for (int id : b_ids) {
+      ++b_counts[pool[id]];
+      b_sorted.push_back(pool[id]);
+      ++b_hist[id];
+    }
+    std::sort(a_sorted.begin(), a_sorted.end());
+    std::sort(b_sorted.begin(), b_sorted.end());
+    const int reference = MatchableLabelCount(a_counts, b_counts, dict);
+    EXPECT_EQ(MatchableSortedLabels(a_sorted, b_sorted, dict), reference);
+    EXPECT_EQ(MatchableLabelHistograms(a_hist.data(), b_hist.data(), wild),
+              reference);
+  }
 }
 
 TEST(MatchableLabelCountTest, EmptySides) {

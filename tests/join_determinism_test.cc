@@ -97,7 +97,7 @@ TEST(JoinDeterminismTest, FrozenDictionaryRejectsNewLabels) {
   EXPECT_DEATH(dict.Intern("Fresh"), "frozen");
 }
 
-TEST(JoinDeterminismTest, ParallelJoinFreezesTheDictionary) {
+TEST(JoinDeterminismTest, ParallelJoinUnfreezesTheDictionaryOnReturn) {
   workload::SyntheticDataset data =
       simj::testing::MakeTinySyntheticDataset(99, /*num_certain=*/3,
                                               /*num_uncertain=*/3);
@@ -106,7 +106,12 @@ TEST(JoinDeterminismTest, ParallelJoinFreezesTheDictionary) {
   // Only the freeze side effect matters here; the join output is discarded.
   JoinResult ignored = SimJoin(data.certain, data.uncertain, params, data.dict);
   (void)ignored;
+  // The freeze is scoped to the join: afterwards the dictionary interns
+  // again.
+  EXPECT_FALSE(data.dict.frozen());
+  graph::LabelDictionary::ScopedFreeze freeze(data.dict);
   EXPECT_TRUE(data.dict.frozen());
+  EXPECT_DEATH(data.dict.Intern("FreshLabelAfterJoin"), "frozen");
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 #include "core/similarity.h"
 #include "core/topk.h"
 #include "ged/lower_bounds.h"
+#include "templates/template.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "workload/knowledge_base.h"
+#include "workload/question_gen.h"
 
 namespace simj::core {
 namespace {
@@ -273,6 +276,42 @@ TEST_P(TopKJoinTest, MatchesBruteForceRanking) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TopKJoinTest, ::testing::Range(0, 25));
+
+// A threaded join freezes the dictionary only while its workers run:
+// template generation, which interns slot labels, must work on its output.
+TEST(JoinTest, ThreadedJoinLeavesTheDictionaryUsable) {
+  workload::KnowledgeBase kb(workload::KbConfig{.seed = 77});
+  workload::Workload work =
+      simj::testing::MakeSeededWorkload(kb, 78, /*num_questions=*/60);
+  workload::JoinSides sides = workload::BuildJoinSides(kb, work);
+  SimJParams params;
+  params.tau = 1;
+  params.alpha = 0.6;
+  params.num_threads = 2;
+  JoinResult joined = SimJoin(sides.d, sides.u, params, kb.dict());
+  ASSERT_FALSE(joined.pairs.empty());
+  EXPECT_FALSE(kb.dict().frozen());
+
+  const MatchedPair& pair = joined.pairs.front();
+  StatusOr<tmpl::Template> t = tmpl::GenerateTemplate(
+      work.sparql_queries[pair.q_index], sides.d_graphs[pair.q_index],
+      sides.u_parsed[pair.g_index], sides.u_graphs[pair.g_index],
+      pair.mapping, kb.dict());
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+}
+
+// The freeze restores whatever state the dictionary had: a permanently
+// frozen dictionary stays frozen after a threaded join.
+TEST(JoinTest, ThreadedJoinKeepsAPermanentFreeze) {
+  workload::SyntheticDataset data =
+      simj::testing::MakeTinySyntheticDataset(5, 3, 3);
+  data.dict.Freeze();
+  SimJParams params;
+  params.num_threads = 2;
+  JoinResult ignored = SimJoin(data.certain, data.uncertain, params, data.dict);
+  (void)ignored;
+  EXPECT_TRUE(data.dict.frozen());
+}
 
 TEST(JoinTest, EmptyInputs) {
   LabelDictionary dict;

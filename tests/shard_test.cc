@@ -150,7 +150,9 @@ TEST(ShardPlanTest, SkewedWorkloadYieldsOneHotBucket) {
   const int hot = shards_per_signature[{4, 3}];
   EXPECT_GE(hot, 8);  // 24 hot graphs x 6 uncertain / 8 per shard
   for (const auto& [signature, count] : shards_per_signature) {
-    if (signature != std::make_pair(4, 3)) EXPECT_LT(count, hot);
+    if (signature != std::make_pair(4, 3)) {
+      EXPECT_LT(count, hot);
+    }
   }
 }
 

@@ -1,3 +1,4 @@
+#include <chrono>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,18 @@ TEST(KnowledgeBaseTest, SchemaInvariants) {
     EXPECT_GE(predicate.range_class, 0);
     EXPECT_FALSE(predicate.phrases.empty());
   }
+}
+
+// 2-3 syllable names run out near 660 entities per class; the name loop
+// must fall back to longer names instead of spinning.
+TEST(KnowledgeBaseTest, ThousandEntitiesPerClassBuildsInBoundedTime) {
+  const auto start = std::chrono::steady_clock::now();
+  KnowledgeBase kb(KbConfig{.seed = 3, .entities_per_class = 1000});
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(kb.entities().size(), kb.classes().size() * 1000);
+  EXPECT_LT(seconds, 20.0);
 }
 
 TEST(KnowledgeBaseTest, EveryEntityHasTypeTripleAndLink) {
