@@ -220,6 +220,15 @@ python3 tools/bench_compare.py --self-test
 # The benchmark's percentile math and its metric names against
 # BENCHMARK.json (cheap; no build).
 python3 simjbench/run.py --self-test
+# Online answering end to end (builds the benchmark binary on first use).
+# Its correctness gate replays every question through the one-off
+# AlignTokens form and compares the answers with TemplateQa::Answer, which
+# prepares each question once; the leg fails unless the gate holds.
+QA_ONLINE_LAST="$(python3 simjbench/run.py --workload qa_online --seed 1 \
+  --seconds 2 --trace 0 | tail -n 1)"
+python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "${QA_ONLINE_LAST}"
+echo "qa_online gate OK"
 python3 tools/bench_compare.py --schema-check "${SMOKE_DIR}/result.json"
 ./build-release/bench/bench_fig12_tau_efficiency \
   --num_certain=30 --num_uncertain=30 \

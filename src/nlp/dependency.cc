@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -15,20 +16,20 @@ bool IsSlotToken(const std::string& token) {
   return StartsWith(token, "<slot") && EndsWith(token, ">");
 }
 
-int RenameCost(const std::string& a, const std::string& b) {
-  if (a == b) return 0;
-  if (a == kSlotMarker || b == kSlotMarker) return 0;
-  if (IsSlotToken(a) || IsSlotToken(b)) return 0;
-  return 1;
-}
-
 // Zhang-Shasha preprocessing: postorder labels, leftmost-leaf indices and
-// keyroots (all 1-based).
+// keyroots (all 1-based). Labels point into the source tree; `slot` marks
+// the labels that rename to anything for free (kSlotMarker is one of them).
 struct ZsTree {
-  std::vector<std::string> labels;  // [1..n]
-  std::vector<int> lml;             // [1..n]
+  std::vector<const std::string*> labels;  // [1..n]
+  std::vector<uint8_t> slot;               // [1..n]
+  std::vector<int> lml;                    // [1..n]
   std::vector<int> keyroots;
 };
+
+int RenameCost(const ZsTree& a, int i, const ZsTree& b, int j) {
+  if (a.slot[i] || b.slot[j]) return 0;
+  return *a.labels[i] == *b.labels[j] ? 0 : 1;
+}
 
 void ZsDfs(const DepTree& tree, int node, ZsTree& out, int& counter,
            std::vector<int>& lml_of_node) {
@@ -39,7 +40,8 @@ void ZsDfs(const DepTree& tree, int node, ZsTree& out, int& counter,
   }
   ++counter;
   lml_of_node[node] = leftmost == -1 ? counter : leftmost;
-  out.labels[counter] = tree.nodes[node].label;
+  out.labels[counter] = &tree.nodes[node].label;
+  out.slot[counter] = IsSlotToken(tree.nodes[node].label);
   out.lml[counter] = lml_of_node[node];
 }
 
@@ -47,6 +49,7 @@ ZsTree BuildZsTree(const DepTree& tree) {
   ZsTree out;
   int n = tree.size();
   out.labels.resize(n + 1);
+  out.slot.resize(n + 1);
   out.lml.resize(n + 1);
   if (n == 0) return out;
   std::vector<int> lml_of_node(n, 0);
@@ -105,62 +108,82 @@ int TreeEditDistance(const DepTree& a, const DepTree& b) {
   const int m = b.size();
   if (n == 0) return m;
   if (m == 0) return n;
-  ZsTree ta = BuildZsTree(a);
-  ZsTree tb = BuildZsTree(b);
+  const ZsTree ta = BuildZsTree(a);
+  const ZsTree tb = BuildZsTree(b);
 
-  std::vector<std::vector<int>> td(n + 1, std::vector<int>(m + 1, 0));
+  // td is the tree-distance table; fd is the forest-distance table of one
+  // keyroot pair, reused by every pair. Both are row-major with stride m+1:
+  // the root pair, the largest, spans (n+1) x (m+1).
+  const int stride = m + 1;
+  std::vector<int> td(static_cast<size_t>(n + 1) * stride, 0);
+  std::vector<int> fd(td.size());
 
   for (int k1 : ta.keyroots) {
     for (int k2 : tb.keyroots) {
-      int l1 = ta.lml[k1];
-      int l2 = tb.lml[k2];
-      int rows = k1 - l1 + 2;
-      int cols = k2 - l2 + 2;
-      std::vector<std::vector<int>> fd(rows, std::vector<int>(cols, 0));
-      for (int di = 1; di < rows; ++di) fd[di][0] = fd[di - 1][0] + 1;
-      for (int dj = 1; dj < cols; ++dj) fd[0][dj] = fd[0][dj - 1] + 1;
+      const int l1 = ta.lml[k1];
+      const int l2 = tb.lml[k2];
+      const int rows = k1 - l1 + 2;
+      const int cols = k2 - l2 + 2;
+      fd[0] = 0;
+      for (int di = 1; di < rows; ++di) fd[di * stride] = di;
+      for (int dj = 1; dj < cols; ++dj) fd[dj] = dj;
       for (int di = 1; di < rows; ++di) {
-        int i = l1 + di - 1;
+        const int i = l1 + di - 1;
+        int* row = &fd[di * stride];
+        const int* above = row - stride;
         for (int dj = 1; dj < cols; ++dj) {
-          int j = l2 + dj - 1;
+          const int j = l2 + dj - 1;
           if (ta.lml[i] == l1 && tb.lml[j] == l2) {
-            fd[di][dj] = std::min(
-                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
-                 fd[di - 1][dj - 1] + RenameCost(ta.labels[i], tb.labels[j])});
-            td[i][j] = fd[di][dj];
+            row[dj] = std::min({above[dj] + 1, row[dj - 1] + 1,
+                                above[dj - 1] + RenameCost(ta, i, tb, j)});
+            td[i * stride + j] = row[dj];
           } else {
-            int pi = ta.lml[i] - l1;  // forest prefix before subtree of i
-            int pj = tb.lml[j] - l2;
-            fd[di][dj] = std::min(
-                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
-                 fd[pi][pj] + td[i][j]});
+            const int pi = ta.lml[i] - l1;  // forest prefix before subtree of i
+            const int pj = tb.lml[j] - l2;
+            row[dj] = std::min({above[dj] + 1, row[dj - 1] + 1,
+                                fd[pi * stride + pj] + td[i * stride + j]});
           }
         }
       }
     }
   }
-  return td[n][m];
+  return td[n * stride + m];
+}
+
+AlignQuestion PrepareAlignQuestion(
+    std::vector<std::string> question_tokens,
+    const std::function<bool(const std::string&)>* slot_validator) {
+  AlignQuestion question(std::move(question_tokens));
+  const int q = static_cast<int>(question.tokens_.size());
+  question.linkable_.assign(static_cast<size_t>(q) * kMaxSlotTokens, 0);
+  for (int j = 0; j < q; ++j) {
+    std::string span;
+    for (int len = 1; len <= kMaxSlotTokens && j + len <= q; ++len) {
+      if (!span.empty()) span += ' ';
+      span += question.tokens_[j + len - 1];
+      question.linkable_[j * kMaxSlotTokens + len - 1] =
+          slot_validator == nullptr || (*slot_validator)(span);
+    }
+  }
+  return question;
 }
 
 std::optional<TokenAlignment> AlignTokens(
     const std::vector<std::string>& template_tokens, int num_slots,
-    const std::vector<std::string>& question_tokens,
-    const std::function<bool(const std::string&)>* slot_validator) {
+    const AlignQuestion& question) {
+  const std::vector<std::string>& question_tokens = question.tokens_;
   const int t = static_cast<int>(template_tokens.size());
   const int q = static_cast<int>(question_tokens.size());
   constexpr int kInf = std::numeric_limits<int>::max() / 4;
 
   // Moves, in preference order on full ties.
   enum Move : uint8_t { kNone, kMatch, kSlot, kSubst, kDelete, kInsert };
-  struct Cell {
-    int cost = kInf;
-    int matches = -1;  // exact token matches along the best path
-    Move move = kNone;
-    int consumed = 0;  // for kSlot: question tokens consumed
-  };
-  std::vector<std::vector<Cell>> dp(t + 1, std::vector<Cell>(q + 1));
-  dp[0][0].cost = 0;
-  dp[0][0].matches = 0;
+  using Cell = AlignQuestion::Cell;
+  const int width = q + 1;
+  std::vector<Cell>& dp = question.dp_;
+  dp.assign(static_cast<size_t>(t + 1) * width, Cell{kInf, -1, kNone, 0});
+  dp[0].cost = 0;
+  dp[0].matches = 0;
 
   // Lower cost wins; on ties, more exact matches (tighter slot spans and
   // better phi); on full ties, the earlier move in the enum.
@@ -172,56 +195,54 @@ std::optional<TokenAlignment> AlignTokens(
       cell.cost = cost;
       cell.matches = matches;
       cell.move = move;
-      cell.consumed = consumed;
+      cell.consumed = static_cast<uint8_t>(consumed);
     }
   };
 
   for (int i = 0; i <= t; ++i) {
+    Cell* row = &dp[static_cast<size_t>(i) * width];
+    Cell* next = row + width;
+    // A slot captures a short phrase (entity phrases are at most a few
+    // tokens); longer spans must pay as insertions, so partial matches
+    // genuinely lower phi. Only capturable spans qualify.
+    const bool slot_row = i < t && IsSlotToken(template_tokens[i]);
     for (int j = 0; j <= q; ++j) {
-      if (dp[i][j].cost >= kInf) continue;
-      int cost = dp[i][j].cost;
-      int matches = dp[i][j].matches;
+      if (row[j].cost >= kInf) continue;
+      const int cost = row[j].cost;
+      const int matches = row[j].matches;
       if (i < t) {
-        if (IsSlotToken(template_tokens[i])) {
-          // A slot captures a short phrase (entity phrases are at most a
-          // few tokens); longer spans must pay as insertions, so partial
-          // matches genuinely lower phi. With a validator, only linkable
-          // spans qualify.
-          constexpr int kMaxSlotTokens = 3;
-          std::string span;
+        if (slot_row) {
+          const uint8_t* linkable = &question.linkable_[j * kMaxSlotTokens];
           for (int consume = 1;
                consume <= kMaxSlotTokens && j + consume <= q; ++consume) {
-            if (!span.empty()) span += ' ';
-            span += question_tokens[j + consume - 1];
-            if (slot_validator != nullptr && !(*slot_validator)(span)) {
-              continue;
-            }
-            relax(dp[i + 1][j + consume], cost, matches, kSlot, consume);
+            if (!linkable[consume - 1]) continue;
+            relax(next[j + consume], cost, matches, kSlot, consume);
           }
         } else if (j < q) {
           if (template_tokens[i] == question_tokens[j]) {
-            relax(dp[i + 1][j + 1], cost, matches + 1, kMatch, 0);
+            relax(next[j + 1], cost, matches + 1, kMatch, 0);
           } else {
-            relax(dp[i + 1][j + 1], cost + 1, matches, kSubst, 0);
+            relax(next[j + 1], cost + 1, matches, kSubst, 0);
           }
         }
-        relax(dp[i + 1][j], cost + 1, matches, kDelete, 0);
+        relax(next[j], cost + 1, matches, kDelete, 0);
       }
-      if (j < q) relax(dp[i][j + 1], cost + 1, matches, kInsert, 0);
+      if (j < q) relax(row[j + 1], cost + 1, matches, kInsert, 0);
     }
   }
 
-  if (dp[t][q].cost >= kInf) return std::nullopt;
+  const Cell& last = dp[static_cast<size_t>(t) * width + q];
+  if (last.cost >= kInf) return std::nullopt;
 
   // Backtrack: collect slot phrases and coverage.
   TokenAlignment result;
-  result.cost = dp[t][q].cost;
+  result.cost = last.cost;
   result.slot_phrases.assign(num_slots, "");
   int covered = 0;
   int i = t;
   int j = q;
   while (i > 0 || j > 0) {
-    const Cell& cell = dp[i][j];
+    const Cell& cell = dp[static_cast<size_t>(i) * width + j];
     switch (cell.move) {
       case kMatch:
         ++covered;
@@ -256,7 +277,7 @@ std::optional<TokenAlignment> AlignTokens(
       case kInsert:
         --j;
         break;
-      case kNone:
+      default:
         SIMJ_CHECK(false);
     }
   }
@@ -266,6 +287,14 @@ std::optional<TokenAlignment> AlignTokens(
   result.matching_proportion =
       q == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(q);
   return result;
+}
+
+std::optional<TokenAlignment> AlignTokens(
+    const std::vector<std::string>& template_tokens, int num_slots,
+    const std::vector<std::string>& question_tokens,
+    const std::function<bool(const std::string&)>* slot_validator) {
+  return AlignTokens(template_tokens, num_slots,
+                     PrepareAlignQuestion(question_tokens, slot_validator));
 }
 
 }  // namespace simj::nlp

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "nlp/dependency.h"
 #include "nlp/semantic_graph.h"
@@ -46,18 +47,21 @@ StatusOr<QaAnswer> TemplateQa::Answer(const std::string& question,
   StatusOr<nlp::ParsedQuestion> parsed = nlp::ParseQuestion(question, *lexicon_);
   if (parsed.ok()) question_tree = nlp::BuildQuestionTree(*parsed);
 
-  // Slots may only capture phrases the lexicon can link.
-  std::function<bool(const std::string&)> slot_validator =
+  // Slots may only capture phrases the lexicon can link. The question side
+  // of the alignment (which spans link) is prepared once for all templates.
+  const std::function<bool(const std::string&)> slot_validator =
       [this](const std::string& span) {
         return lexicon_->FindEntity(span) != nullptr ||
                lexicon_->FindClass(span) != nullptr;
       };
+  const nlp::AlignQuestion aligned_question =
+      nlp::PrepareAlignQuestion(std::move(tokens), &slot_validator);
 
   std::optional<Candidate> best;
   for (int i = 0; i < templates_->size(); ++i) {
     const Template& t = templates_->templates()[i];
-    std::optional<nlp::TokenAlignment> alignment = nlp::AlignTokens(
-        t.nl_tokens, t.num_slots(), tokens, &slot_validator);
+    std::optional<nlp::TokenAlignment> alignment =
+        nlp::AlignTokens(t.nl_tokens, t.num_slots(), aligned_question);
     if (!alignment.has_value()) continue;
     if (alignment->matching_proportion <
         options.min_matching_proportion - 1e-9) {

@@ -178,6 +178,7 @@ int ThisThreadKey() {
          kAddrMask;
 }
 
+#ifndef SIMJ_HEAP_PROFILER_UNDER_SANITIZER
 // A fork()ed child inherits the arming flags and a possibly mid-mutation
 // copy of the tables. Abandon both (the block is leaked — a few MiB once
 // per child); async-signal-safe: atomic stores only.
@@ -187,6 +188,7 @@ void AtForkInChild() {
   g_armed_pid.store(0, std::memory_order_relaxed);
   g_tables.store(nullptr, std::memory_order_relaxed);
 }
+#endif  // SIMJ_HEAP_PROFILER_UNDER_SANITIZER
 
 // Records one sampled allocation: captures the raw stack, folds it into
 // the (thread, frames) entry, and publishes the address in the live table.

@@ -108,6 +108,7 @@ std::atomic<int> g_active_hz{0};
 // kMaxThreads slots taken); folded into the local section's drop count.
 std::atomic<int64_t> g_unattributed{0};
 
+#ifndef SIMJ_PROFILER_UNDER_TSAN
 void SigProfHandler(int /*signo*/) {
   // Async-signal-safe only (tools/simj_lint.py signal-handler-safety):
   // raw syscalls, atomics with explicit orders, backtrace(). No
@@ -150,6 +151,7 @@ void SigProfHandler(int /*signo*/) {
   }
   errno = saved_errno;
 }
+#endif  // SIMJ_PROFILER_UNDER_TSAN
 
 struct Registry {
   Mutex mu;
@@ -214,6 +216,7 @@ bool ArmTimerLocked(Registry& reg, ThreadSlot* slot, int tid)
   return true;
 }
 
+#ifndef SIMJ_PROFILER_UNDER_TSAN
 // A fork()ed child inherits the parent's flags, rings and registrations,
 // but none of its timers or threads: every slot tid is stale. Reset to a
 // blank, disarmed profiler so the child can arm itself cleanly.
@@ -235,6 +238,7 @@ void ResetAfterForkLocked(Registry& reg) SIMJ_REQUIRES(reg.mu) {
   reg.names.clear();
   reg.remote.clear();
 }
+#endif  // SIMJ_PROFILER_UNDER_TSAN
 
 // Rewrites a symbol or thread name so it cannot break the folded-stack
 // line structure (space separates the count, semicolon separates frames).

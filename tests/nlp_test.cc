@@ -1,3 +1,13 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/label.h"
@@ -6,9 +16,225 @@
 #include "nlp/semantic_graph.h"
 #include "nlp/uncertain_builder.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace simj::nlp {
 namespace {
+
+// Reference matchers for the differential tests below: the straightforward
+// forms the production kernels must agree with exactly. AlignTokens keeps a
+// rows-of-vectors DP table and calls the validator for every slot cell;
+// TreeEditDistance allocates td and every fd as rows of vectors.
+namespace reference {
+
+bool IsSlotToken(const std::string& token) {
+  return StartsWith(token, "<slot") && EndsWith(token, ">");
+}
+
+int RenameCost(const std::string& a, const std::string& b) {
+  if (a == b) return 0;
+  if (a == kSlotMarker || b == kSlotMarker) return 0;
+  if (IsSlotToken(a) || IsSlotToken(b)) return 0;
+  return 1;
+}
+
+struct ZsTree {
+  std::vector<std::string> labels;  // [1..n]
+  std::vector<int> lml;             // [1..n]
+  std::vector<int> keyroots;
+};
+
+void ZsDfs(const DepTree& tree, int node, ZsTree& out, int& counter,
+           std::vector<int>& lml_of_node) {
+  int leftmost = -1;
+  for (int child : tree.nodes[node].children) {
+    ZsDfs(tree, child, out, counter, lml_of_node);
+    if (leftmost == -1) leftmost = lml_of_node[child];
+  }
+  ++counter;
+  lml_of_node[node] = leftmost == -1 ? counter : leftmost;
+  out.labels[counter] = tree.nodes[node].label;
+  out.lml[counter] = lml_of_node[node];
+}
+
+ZsTree BuildZsTree(const DepTree& tree) {
+  ZsTree out;
+  int n = tree.size();
+  out.labels.resize(n + 1);
+  out.lml.resize(n + 1);
+  if (n == 0) return out;
+  std::vector<int> lml_of_node(n, 0);
+  int counter = 0;
+  ZsDfs(tree, tree.root, out, counter, lml_of_node);
+  std::vector<int> last_with_lml(n + 1, 0);
+  for (int i = 1; i <= n; ++i) last_with_lml[out.lml[i]] = i;
+  for (int i = 1; i <= n; ++i) {
+    if (last_with_lml[out.lml[i]] == i) out.keyroots.push_back(i);
+  }
+  return out;
+}
+
+int TreeEditDistance(const DepTree& a, const DepTree& b) {
+  const int n = a.size();
+  const int m = b.size();
+  if (n == 0) return m;
+  if (m == 0) return n;
+  ZsTree ta = BuildZsTree(a);
+  ZsTree tb = BuildZsTree(b);
+
+  std::vector<std::vector<int>> td(n + 1, std::vector<int>(m + 1, 0));
+
+  for (int k1 : ta.keyroots) {
+    for (int k2 : tb.keyroots) {
+      int l1 = ta.lml[k1];
+      int l2 = tb.lml[k2];
+      int rows = k1 - l1 + 2;
+      int cols = k2 - l2 + 2;
+      std::vector<std::vector<int>> fd(rows, std::vector<int>(cols, 0));
+      for (int di = 1; di < rows; ++di) fd[di][0] = fd[di - 1][0] + 1;
+      for (int dj = 1; dj < cols; ++dj) fd[0][dj] = fd[0][dj - 1] + 1;
+      for (int di = 1; di < rows; ++di) {
+        int i = l1 + di - 1;
+        for (int dj = 1; dj < cols; ++dj) {
+          int j = l2 + dj - 1;
+          if (ta.lml[i] == l1 && tb.lml[j] == l2) {
+            fd[di][dj] = std::min(
+                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
+                 fd[di - 1][dj - 1] + RenameCost(ta.labels[i], tb.labels[j])});
+            td[i][j] = fd[di][dj];
+          } else {
+            int pi = ta.lml[i] - l1;
+            int pj = tb.lml[j] - l2;
+            fd[di][dj] = std::min(
+                {fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
+                 fd[pi][pj] + td[i][j]});
+          }
+        }
+      }
+    }
+  }
+  return td[n][m];
+}
+
+std::optional<TokenAlignment> AlignTokens(
+    const std::vector<std::string>& template_tokens, int num_slots,
+    const std::vector<std::string>& question_tokens,
+    const std::function<bool(const std::string&)>* slot_validator) {
+  const int t = static_cast<int>(template_tokens.size());
+  const int q = static_cast<int>(question_tokens.size());
+  constexpr int kInf = std::numeric_limits<int>::max() / 4;
+
+  enum Move : uint8_t { kNone, kMatch, kSlot, kSubst, kDelete, kInsert };
+  struct Cell {
+    int cost = kInf;
+    int matches = -1;
+    Move move = kNone;
+    int consumed = 0;
+  };
+  std::vector<std::vector<Cell>> dp(t + 1, std::vector<Cell>(q + 1));
+  dp[0][0].cost = 0;
+  dp[0][0].matches = 0;
+
+  auto relax = [](Cell& cell, int cost, int matches, Move move,
+                  int consumed) {
+    if (cost < cell.cost ||
+        (cost == cell.cost && matches > cell.matches) ||
+        (cost == cell.cost && matches == cell.matches && move < cell.move)) {
+      cell.cost = cost;
+      cell.matches = matches;
+      cell.move = move;
+      cell.consumed = consumed;
+    }
+  };
+
+  for (int i = 0; i <= t; ++i) {
+    for (int j = 0; j <= q; ++j) {
+      if (dp[i][j].cost >= kInf) continue;
+      int cost = dp[i][j].cost;
+      int matches = dp[i][j].matches;
+      if (i < t) {
+        if (IsSlotToken(template_tokens[i])) {
+          constexpr int kMaxSlotTokens = 3;
+          std::string span;
+          for (int consume = 1;
+               consume <= kMaxSlotTokens && j + consume <= q; ++consume) {
+            if (!span.empty()) span += ' ';
+            span += question_tokens[j + consume - 1];
+            if (slot_validator != nullptr && !(*slot_validator)(span)) {
+              continue;
+            }
+            relax(dp[i + 1][j + consume], cost, matches, kSlot, consume);
+          }
+        } else if (j < q) {
+          if (template_tokens[i] == question_tokens[j]) {
+            relax(dp[i + 1][j + 1], cost, matches + 1, kMatch, 0);
+          } else {
+            relax(dp[i + 1][j + 1], cost + 1, matches, kSubst, 0);
+          }
+        }
+        relax(dp[i + 1][j], cost + 1, matches, kDelete, 0);
+      }
+      if (j < q) relax(dp[i][j + 1], cost + 1, matches, kInsert, 0);
+    }
+  }
+
+  if (dp[t][q].cost >= kInf) return std::nullopt;
+
+  TokenAlignment result;
+  result.cost = dp[t][q].cost;
+  result.slot_phrases.assign(num_slots, "");
+  int covered = 0;
+  int i = t;
+  int j = q;
+  while (i > 0 || j > 0) {
+    const Cell& cell = dp[i][j];
+    switch (cell.move) {
+      case kMatch:
+        ++covered;
+        --i;
+        --j;
+        break;
+      case kSubst:
+        --i;
+        --j;
+        break;
+      case kSlot: {
+        std::string phrase;
+        for (int k = j - cell.consumed; k < j; ++k) {
+          if (!phrase.empty()) phrase += ' ';
+          phrase += question_tokens[k];
+        }
+        covered += cell.consumed;
+        const std::string& marker = template_tokens[i - 1];
+        int slot_index =
+            std::atoi(marker.substr(5, marker.size() - 6).c_str());
+        if (slot_index >= 0 && slot_index < num_slots) {
+          result.slot_phrases[slot_index] = phrase;
+        }
+        j -= cell.consumed;
+        --i;
+        break;
+      }
+      case kDelete:
+        --i;
+        break;
+      case kInsert:
+        --j;
+        break;
+      case kNone:
+        ADD_FAILURE() << "reference backtrack reached an unset cell";
+        return std::nullopt;
+    }
+  }
+  for (const std::string& phrase : result.slot_phrases) {
+    if (phrase.empty()) return std::nullopt;
+  }
+  result.matching_proportion =
+      q == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(q);
+  return result;
+}
+
+}  // namespace reference
 
 class NlpFixture : public ::testing::Test {
  protected:
@@ -313,6 +539,129 @@ TEST_F(NlpFixture, FuzzedQuestionsNeverCrash) {
       DepTree tree = BuildQuestionTree(*parsed);
       EXPECT_GE(tree.root, 0);
       EXPECT_EQ(TreeEditDistance(tree, tree), 0);
+    }
+  }
+}
+
+// Random tree over `labels`; each node hangs under an earlier node, so
+// child order follows index order. n == 0 gives the empty tree.
+DepTree RandomTree(Rng& rng, int n, const std::vector<std::string>& labels) {
+  DepTree t;
+  for (int i = 0; i < n; ++i) {
+    t.nodes.push_back(
+        {labels[rng.Uniform(0, static_cast<int64_t>(labels.size()) - 1)], {}});
+    if (i > 0) {
+      const int parent = static_cast<int>(rng.Uniform(0, i - 1));
+      t.nodes[parent].children.push_back(i);
+    }
+  }
+  t.root = n > 0 ? 0 : -1;
+  return t;
+}
+
+TEST(TreeEditDistanceTest, MatchesReferenceOnRandomSlottedTrees) {
+  Rng rng(1401);
+  const std::vector<std::string> labels = {"a", "b", "c", kSlotMarker,
+                                           "<slot1>"};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const DepTree x = RandomTree(rng, static_cast<int>(rng.Uniform(0, 9)),
+                                 labels);
+    const DepTree y = RandomTree(rng, static_cast<int>(rng.Uniform(0, 9)),
+                                 labels);
+    ASSERT_EQ(TreeEditDistance(x, y), reference::TreeEditDistance(x, y))
+        << "trial " << trial << " sizes " << x.size() << "x" << y.size();
+  }
+}
+
+void ExpectSameAlignment(const std::optional<TokenAlignment>& want,
+                         const std::optional<TokenAlignment>& got,
+                         const std::string& context) {
+  ASSERT_EQ(want.has_value(), got.has_value()) << context;
+  if (!want.has_value()) return;
+  EXPECT_EQ(want->cost, got->cost) << context;
+  EXPECT_EQ(want->slot_phrases, got->slot_phrases) << context;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want->matching_proportion),
+            std::bit_cast<uint64_t>(got->matching_proportion))
+      << context;
+}
+
+TEST(AlignTokensTest, MatchesReferenceOnRandomInputs) {
+  Rng rng(1402);
+  // A small vocabulary so templates and questions share (and repeat)
+  // tokens and ties between moves are common.
+  const std::vector<std::string> words = {"which", "born", "in", "a", "b",
+                                          "from", "a"};
+  const std::function<bool(const std::string&)> no_b =
+      [](const std::string& span) {
+        return span.find('b') == std::string::npos;
+      };
+  const std::function<bool(const std::string&)> short_spans =
+      [](const std::string& span) {
+        return std::count(span.begin(), span.end(), ' ') < 2;
+      };
+  const std::function<bool(const std::string&)> hashed =
+      [](const std::string& span) {
+        return std::hash<std::string>{}(span) % 3 != 0;
+      };
+  const std::function<bool(const std::string&)> none =
+      [](const std::string&) { return false; };
+  const std::vector<const std::function<bool(const std::string&)>*>
+      validators = {nullptr, &no_b, &short_spans, &hashed, &none};
+
+  auto random_tokens = [&](int n) {
+    std::vector<std::string> tokens;
+    for (int k = 0; k < n; ++k) {
+      tokens.push_back(
+          words[rng.Uniform(0, static_cast<int64_t>(words.size()) - 1)]);
+    }
+    return tokens;
+  };
+
+  int aligned = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<std::string> question =
+        random_tokens(static_cast<int>(rng.Uniform(0, 9)));
+    const auto* validator = validators[rng.Uniform(0, 4)];
+    // One prepared question serves every template of the trial, so the
+    // reused DP scratch sees tables of varying shapes.
+    const AlignQuestion prepared = PrepareAlignQuestion(question, validator);
+    for (int k = 0; k < 8; ++k) {
+      std::vector<std::string> tmpl =
+          random_tokens(static_cast<int>(rng.Uniform(0, 6)));
+      const int markers = static_cast<int>(rng.Uniform(0, 3));
+      for (int slot = 0; slot < markers; ++slot) {
+        const int at =
+            static_cast<int>(rng.Uniform(0, static_cast<int64_t>(tmpl.size())));
+        tmpl.insert(tmpl.begin() + at, "<slot" + std::to_string(slot) + ">");
+      }
+      const int num_slots = markers + static_cast<int>(rng.Uniform(0, 1));
+      const std::optional<TokenAlignment> want =
+          reference::AlignTokens(tmpl, num_slots, question, validator);
+      const std::string context =
+          "trial " + std::to_string(trial) + " template " + std::to_string(k);
+      ExpectSameAlignment(want, AlignTokens(tmpl, num_slots, prepared),
+                          context + " (prepared)");
+      ExpectSameAlignment(
+          want, AlignTokens(tmpl, num_slots, question, validator),
+          context + " (per call)");
+      if (want.has_value()) ++aligned;
+    }
+  }
+  // The sweep must exercise real alignments, not only rejections.
+  EXPECT_GT(aligned, 500);
+}
+
+TEST(AlignTokensTest, MatchesReferenceOnEmptyAndSingleTokens) {
+  const std::vector<std::vector<std::string>> sides = {
+      {}, {"a"}, {"<slot0>"}, {"a", "<slot0>"}};
+  for (const std::vector<std::string>& tmpl : sides) {
+    for (const std::vector<std::string>& question :
+         std::vector<std::vector<std::string>>{{}, {"a"}, {"b"}}) {
+      const int num_slots = static_cast<int>(
+          std::count(tmpl.begin(), tmpl.end(), std::string("<slot0>")));
+      ExpectSameAlignment(
+          reference::AlignTokens(tmpl, num_slots, question, nullptr),
+          AlignTokens(tmpl, num_slots, question), "empty/single");
     }
   }
 }
