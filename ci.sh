@@ -229,6 +229,16 @@ QA_ONLINE_LAST="$(python3 simjbench/run.py --workload qa_online --seed 1 \
 python3 -c 'import json, sys
 sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "${QA_ONLINE_LAST}"
 echo "qa_online gate OK"
+# The offline template build end to end. The join takes its structural
+# decisions with the threshold form of the CSS bound; the gate compares
+# its counters with the traced replay's, which uses the exact bound, and
+# checks sampled pairs against ComputeSimP. The leg fails unless the gate
+# holds.
+QA_OFFLINE_LAST="$(python3 simjbench/run.py --workload qa_offline --seed 1 \
+  --seconds 2 --trace 0 | tail -n 1)"
+python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "${QA_OFFLINE_LAST}"
+echo "qa_offline gate OK"
 python3 tools/bench_compare.py --schema-check "${SMOKE_DIR}/result.json"
 ./build-release/bench/bench_fig12_tau_efficiency \
   --num_certain=30 --num_uncertain=30 \

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <thread>
 
 #include "core/progress.h"
@@ -118,7 +119,14 @@ bool EvaluatePair(const LabeledGraph& q, const UncertainGraph& g,
   // --- Pruning phase ---
   if (params.structural_pruning) {
     trace::ScopedSpan span("css_filter", "prune");
-    int lower_bound = ged::CssLowerBoundUncertain(q, g, dict);
+    // Only the decision against tau is needed, so the threshold form may
+    // skip the lambda_V matching. Explain output prints the exact bound.
+    // Keyed on the option, not on `explain`: the slow-pair watchdog passes
+    // a record for every pair.
+    const int stop_above = params.explain.enabled
+                               ? std::numeric_limits<int>::max()
+                               : params.tau;
+    int lower_bound = ged::CssLowerBoundUncertain(q, g, dict, stop_above);
     double seconds = timer.ElapsedSeconds();
     jm.structural_seconds.Observe(seconds);
     if (explain != nullptr) explain->css_lower_bound = lower_bound;

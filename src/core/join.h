@@ -52,7 +52,11 @@ struct PairExplain {
   PruneStage pruned_by = PruneStage::kNone;
   bool accepted = false;  // final decision (only meaningful when not pruned)
   // Filter evidence.
-  int css_lower_bound = -1;       // CSS uncertain bound (structural filter)
+  // CSS uncertain bound (structural filter). Exact under explain mode. In
+  // the slow-pair watchdog's record with explain mode off, a structurally
+  // pruned pair holds a cheaper floor that already exceeds tau (see
+  // ged::CssLowerBoundUncertain's threshold form).
+  int css_lower_bound = -1;
   double simp_upper_bound = -1.0; // summed group Markov bound (prob. filter)
   int live_groups = -1;           // groups surviving lb <= tau
   double live_mass = -1.0;        // probability mass still in play
@@ -111,6 +115,8 @@ struct SimJParams {
   // explain output are byte-identical whether it fires or not, at every
   // thread count. 0 disables the watchdog (the per-pair clock read it
   // shares with explain capture is one steady_clock call, below noise).
+  // With explain mode off, the logged record of a structurally pruned pair
+  // holds a CSS floor that already exceeds tau, not the exact bound.
   double slow_pair_log_ms = 1000.0;
   // Stall watchdog (complements slow_pair_log_ms, which cannot see a pair
   // that never finishes): when > 0, JoinPairs runs a monitor thread that

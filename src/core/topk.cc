@@ -40,7 +40,7 @@ TopKResult TopKJoin(const std::vector<LabeledGraph>& d,
     for (int qi = 0; qi < static_cast<int>(d.size()); ++qi) {
       ++result.stats.total_pairs;
       const LabeledGraph& q = d[qi];
-      if (ged::CssLowerBoundUncertain(q, g, dict) > params.tau) {
+      if (ged::CssLowerBoundUncertain(q, g, dict, params.tau) > params.tau) {
         ++result.stats.pruned_structural;
         continue;
       }

@@ -200,11 +200,9 @@ bool StructurallySubgraphIsomorphic(const LabeledGraph& pattern,
 
 int64_t CountTwoPaths(const LabeledGraph& g) {
   int64_t total = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    for (int e_in : g.in_edges(v)) {
-      for (int e_out : g.out_edges(v)) {
-        if (g.edge(e_in).src != g.edge(e_out).dst) ++total;
-      }
+  for (const graph::Edge& in : g.edges()) {
+    for (const graph::Edge& out : g.edges()) {
+      if (in.dst == out.src && in.src != out.dst) ++total;
     }
   }
   return total;

@@ -1,19 +1,17 @@
 #include "ged/graph_summary.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "util/check.h"
 
 namespace simj::ged {
 
-GraphSummary::GraphSummary(const graph::LabeledGraph& g) {
+GraphSummary::GraphSummary(const graph::LabeledGraph& g)
+    : sorted_degrees_(g.SortedDegrees()),
+      sorted_edge_labels_(g.SortedEdgeLabels()) {
   const int n = g.num_vertices();
   degrees_.resize(n);
   for (int v = 0; v < n; ++v) degrees_[v] = g.degree(v);
-  sorted_degrees_ = degrees_;
-  std::sort(sorted_degrees_.begin(), sorted_degrees_.end(),
-            std::greater<int>());
 
   std::vector<graph::Edge> edges = g.edges();
   std::sort(edges.begin(), edges.end(),
@@ -37,9 +35,6 @@ GraphSummary::GraphSummary(const graph::LabeledGraph& g) {
     pairs_.back().end = index + 1;
   }
   for (int v = 0; v < n; ++v) row_begin_[v + 1] += row_begin_[v];
-
-  sorted_edge_labels_ = labels_;
-  std::sort(sorted_edge_labels_.begin(), sorted_edge_labels_.end());
 }
 
 std::span<const graph::LabelId> GraphSummary::EdgeLabels(int src,

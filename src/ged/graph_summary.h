@@ -41,6 +41,8 @@ class GraphSummary {
   };
 
   // Reads the topology and edge labels of `g`; vertex labels are ignored.
+  // facts() views `g`'s own sorted sequences, so `g` must outlive the
+  // summary.
   explicit GraphSummary(const graph::LabeledGraph& g);
 
   int num_vertices() const { return static_cast<int>(degrees_.size()); }
@@ -63,8 +65,8 @@ class GraphSummary {
 
  private:
   std::vector<int> degrees_;
-  std::vector<int> sorted_degrees_;
-  std::vector<graph::LabelId> sorted_edge_labels_;
+  std::span<const int> sorted_degrees_;
+  std::span<const graph::LabelId> sorted_edge_labels_;
   std::vector<Pair> pairs_;
   // The pairs leaving v are pairs_[row_begin_[v], row_begin_[v + 1]).
   std::vector<int> row_begin_;

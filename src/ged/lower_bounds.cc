@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <vector>
 
 #include "matching/bipartite.h"
@@ -24,28 +23,12 @@ using graph::UncertainGraph;
 // rounding up keeps the bound valid and slightly tightens it.
 int HalfRoundedUp(int dif) { return (dif + 1) / 2; }
 
-// StructureFacts of a graph in stack buffers, for one-off bounds that do
-// not hold a GraphSummary.
-class StackFacts {
- public:
-  explicit StackFacts(const LabeledGraph& g)
-      : degrees_(g.num_vertices()), edge_labels_(g.num_edges()) {
-    for (int v = 0; v < g.num_vertices(); ++v) degrees_[v] = g.degree(v);
-    std::sort(degrees_.begin(), degrees_.end(), std::greater<int>());
-    for (int e = 0; e < g.num_edges(); ++e) edge_labels_[e] = g.edge(e).label;
-    std::sort(edge_labels_.begin(), edge_labels_.end());
-  }
-
-  StructureFacts facts() const {
-    return {static_cast<int>(degrees_.size()),
-            static_cast<int>(edge_labels_.size()), degrees_.span(),
-            edge_labels_.span()};
-  }
-
- private:
-  SmallBuffer<int, 32> degrees_;
-  SmallBuffer<LabelId, 64> edge_labels_;
-};
+// The facts a graph keeps of itself (LabeledGraph::SortedDegrees and
+// SortedEdgeLabels).
+StructureFacts FactsOf(const LabeledGraph& g) {
+  return {g.num_vertices(), g.num_edges(), g.SortedDegrees(),
+          g.SortedEdgeLabels()};
+}
 
 }  // namespace
 
@@ -151,8 +134,7 @@ int MatchableVertexLabels(std::span<const LabelId> a,
 // tie are valid, and C keeps the tighter one.
 int CssLowerBound(const LabeledGraph& a, const LabeledGraph& b,
                   const LabelDictionary& dict) {
-  return std::max(0, CssStructuralConstant(StackFacts(a).facts(),
-                                           StackFacts(b).facts(), dict) -
+  return std::max(0, CssStructuralConstant(FactsOf(a), FactsOf(b), dict) -
                          MatchableVertexLabels(a.vertex_labels(),
                                                b.vertex_labels(), dict));
 }
@@ -166,7 +148,7 @@ int CssLowerBound(const SummaryView& a, const SummaryView& b,
 
 int MaxCommonVertexLabels(const LabeledGraph& q, const UncertainGraph& g,
                           const LabelDictionary& dict) {
-  const std::vector<LabelId>& q_labels = q.vertex_labels();
+  const std::span<const LabelId> q_labels = q.vertex_labels();
   const int nq = q.num_vertices();
   SmallBuffer<uint8_t, 32> q_wild(nq);
   for (int u = 0; u < nq; ++u) q_wild[u] = dict.IsWildcard(q_labels[u]) ? 1 : 0;
@@ -202,19 +184,24 @@ int CssStructuralConstant(const StructureFacts& q, const StructureFacts& g,
 
 int CssStructuralConstant(const LabeledGraph& q, const UncertainGraph& g,
                           const LabelDictionary& dict) {
-  return CssStructuralConstant(StackFacts(q).facts(),
-                               StackFacts(g.structure()).facts(), dict);
+  return CssStructuralConstant(FactsOf(q), FactsOf(g.structure()), dict);
 }
 
 int CssLowerBoundUncertain(const LabeledGraph& q, const UncertainGraph& g,
-                           const LabelDictionary& dict) {
+                           const LabelDictionary& dict, int stop_above) {
   // Callers time this bound themselves (the join's structural-filter
   // histogram); the exact call count stays here.
   static metrics::Counter& calls = metrics::Registry::Global().GetCounter(
       "simj_bound_css_uncertain_total");
   calls.Increment();
-  return std::max(0, CssStructuralConstant(q, g, dict) -
-                         MaxCommonVertexLabels(q, g, dict));
+  const int structural = CssStructuralConstant(q, g, dict);
+  // Each matched pair of the bipartite graph uses one vertex of either
+  // side, so lambda_V <= min(|V(q)|, |V(g)|) and this floor needs no
+  // matching.
+  const int floor =
+      structural - std::min(q.num_vertices(), g.num_vertices());
+  if (floor > stop_above) return std::max(0, floor);
+  return std::max(0, structural - MaxCommonVertexLabels(q, g, dict));
 }
 
 }  // namespace simj::ged

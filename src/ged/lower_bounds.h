@@ -15,6 +15,7 @@
 #ifndef SIMJ_GED_LOWER_BOUNDS_H_
 #define SIMJ_GED_LOWER_BOUNDS_H_
 
+#include <limits>
 #include <span>
 
 #include "ged/graph_summary.h"
@@ -81,9 +82,17 @@ namespace simj::ged {
 
 // The CSS bound for an uncertain graph (Thm. 3): valid lower bound on
 // ged(q, pw(g)) for every possible world pw(g).
-[[nodiscard]] int CssLowerBoundUncertain(const graph::LabeledGraph& q,
-                           const graph::UncertainGraph& g,
-                           const graph::LabelDictionary& dict);
+//
+// Threshold form: a caller that only asks whether the bound exceeds
+// `stop_above` gets the exact bound whenever it is <= stop_above, and
+// otherwise some value > stop_above that is still a valid lower bound
+// (never above the exact one). It first tries the floor
+// C(q, g) - min(|V(q)|, |V(g)|), which skips the lambda_V matching. The
+// default computes the exact bound.
+[[nodiscard]] int CssLowerBoundUncertain(
+    const graph::LabeledGraph& q, const graph::UncertainGraph& g,
+    const graph::LabelDictionary& dict,
+    int stop_above = std::numeric_limits<int>::max());
 
 }  // namespace simj::ged
 

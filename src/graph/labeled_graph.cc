@@ -1,45 +1,60 @@
 #include "graph/labeled_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
+#include <type_traits>
 
 namespace simj::graph {
 
+// packed_ holds vertex labels, degrees and edge labels in one int buffer.
+static_assert(std::is_same_v<LabelId, int>);
+
 int LabeledGraph::AddVertex(LabelId label) {
-  vertex_labels_.push_back(label);
-  out_.emplace_back();
-  in_.emplace_back();
-  return num_vertices() - 1;
+  // reserve() sizes the buffer exactly: no growth slack. A new vertex has
+  // degree 0, the smallest, so it goes last among the sorted degrees, as
+  // its label and its degree go last among theirs. Inserting from the back
+  // leaves the earlier positions in place.
+  const int n = num_vertices_;
+  packed_.reserve(packed_.size() + 3);
+  packed_.insert(packed_.begin() + 3 * n, 0);
+  packed_.insert(packed_.begin() + 2 * n, 0);
+  packed_.insert(packed_.begin() + n, label);
+  return num_vertices_++;
 }
 
 void LabeledGraph::AddEdge(int src, int dst, LabelId label) {
   SIMJ_CHECK(src >= 0 && src < num_vertices());
   SIMJ_CHECK(dst >= 0 && dst < num_vertices());
   SIMJ_CHECK_NE(src, dst);
-  int e = num_edges();
+  const int n = num_vertices_;
+  const auto sorted = packed_.begin() + 2 * n;
+  const auto labels = sorted + n;
+  for (int v : {src, dst}) {
+    // Raising the first sorted degree equal to the old one keeps the
+    // sequence non-increasing: every entry before it is already larger.
+    int& vertex_degree = packed_[n + v];
+    ++*std::lower_bound(sorted, labels, vertex_degree, std::greater<int>());
+    ++vertex_degree;
+  }
+  const auto at = std::upper_bound(labels, packed_.end(), label) -
+                  packed_.begin();
+  packed_.reserve(packed_.size() + 1);
+  packed_.insert(packed_.begin() + at, label);
   edges_.push_back(Edge{src, dst, label});
-  out_[src].push_back(e);
-  in_[dst].push_back(e);
 }
 
 std::vector<LabelId> LabeledGraph::EdgeLabelsBetween(int src, int dst) const {
   std::vector<LabelId> labels;
-  for (int e : out_[src]) {
-    if (edges_[e].dst == dst) labels.push_back(edges_[e].label);
+  for (const Edge& e : edges_) {
+    if (e.src == src && e.dst == dst) labels.push_back(e.label);
   }
   return labels;
 }
 
-std::vector<int> LabeledGraph::SortedDegrees() const {
-  std::vector<int> degrees(num_vertices());
-  for (int v = 0; v < num_vertices(); ++v) degrees[v] = degree(v);
-  std::sort(degrees.begin(), degrees.end(), std::greater<int>());
-  return degrees;
-}
-
 LabelCounts LabeledGraph::VertexLabelCounts() const {
   LabelCounts counts;
-  for (LabelId label : vertex_labels_) ++counts[label];
+  for (LabelId label : vertex_labels()) ++counts[label];
   return counts;
 }
 
@@ -81,56 +96,35 @@ Status LabeledGraph::ValidateTopology(const LabelDictionary& dict) const {
                                   " carries an invalid label id");
     }
   }
-  // The adjacency lists must partition edges(): every edge appears exactly
-  // once in its source's out-list and its destination's in-list.
-  if (static_cast<int>(out_.size()) != num_vertices() ||
-      static_cast<int>(in_.size()) != num_vertices()) {
-    return InternalError("adjacency list count disagrees with vertex count");
-  }
-  std::vector<int> seen_out(num_edges(), 0);
-  std::vector<int> seen_in(num_edges(), 0);
-  for (int v = 0; v < num_vertices(); ++v) {
-    for (int e : out_[v]) {
-      if (e < 0 || e >= num_edges() || edges_[e].src != v || ++seen_out[e] > 1) {
-        return InternalError(Describe("vertex", v) +
-                             " has an inconsistent out-edge list");
-      }
-    }
-    for (int e : in_[v]) {
-      if (e < 0 || e >= num_edges() || edges_[e].dst != v || ++seen_in[e] > 1) {
-        return InternalError(Describe("vertex", v) +
-                             " has an inconsistent in-edge list");
-      }
-    }
-  }
-  for (int e = 0; e < num_edges(); ++e) {
-    if (seen_out[e] != 1 || seen_in[e] != 1) {
-      return InternalError(Describe("edge", e) +
-                           " is missing from an adjacency list");
-    }
-  }
   return Status::Ok();
 }
 
 LabeledGraph LabeledGraph::FromParts(std::vector<LabelId> vertex_labels,
                                      std::vector<Edge> edges) {
   LabeledGraph g;
-  g.vertex_labels_ = std::move(vertex_labels);
+  const int n = static_cast<int>(vertex_labels.size());
+  g.num_vertices_ = n;
   g.edges_ = std::move(edges);
-  g.out_.assign(g.vertex_labels_.size(), {});
-  g.in_.assign(g.vertex_labels_.size(), {});
-  const int n = g.num_vertices();
+  g.packed_.assign(3 * n + g.edges_.size(), 0);
+  std::copy(vertex_labels.begin(), vertex_labels.end(), g.packed_.begin());
+  const auto degrees = g.packed_.begin() + n;
+  const auto sorted = degrees + n;
+  const auto labels = sorted + n;
   for (int e = 0; e < g.num_edges(); ++e) {
     const Edge& edge = g.edges_[e];
-    if (edge.src >= 0 && edge.src < n) g.out_[edge.src].push_back(e);
-    if (edge.dst >= 0 && edge.dst < n) g.in_[edge.dst].push_back(e);
+    if (edge.src >= 0 && edge.src < n) ++degrees[edge.src];
+    if (edge.dst >= 0 && edge.dst < n) ++degrees[edge.dst];
+    labels[e] = edge.label;
   }
+  std::copy(degrees, sorted, sorted);
+  std::sort(sorted, labels, std::greater<int>());
+  std::sort(labels, g.packed_.end());
   return g;
 }
 
 Status LabeledGraph::Validate(const LabelDictionary& dict) const {
   for (int v = 0; v < num_vertices(); ++v) {
-    if (!ValidLabel(vertex_labels_[v], dict)) {
+    if (!ValidLabel(vertex_label(v), dict)) {
       return InvalidArgumentError(Describe("vertex", v) +
                                   " carries an invalid label id");
     }
@@ -142,7 +136,7 @@ std::string LabeledGraph::DebugString(const LabelDictionary& dict) const {
   std::ostringstream out;
   out << "graph(|V|=" << num_vertices() << ", |E|=" << num_edges() << ")\n";
   for (int v = 0; v < num_vertices(); ++v) {
-    out << "  v" << v << ": " << dict.Name(vertex_labels_[v]) << "\n";
+    out << "  v" << v << ": " << dict.Name(vertex_label(v)) << "\n";
   }
   for (const Edge& e : edges_) {
     out << "  v" << e.src << " -[" << dict.Name(e.label) << "]-> v" << e.dst

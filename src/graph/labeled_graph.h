@@ -38,36 +38,41 @@ class LabeledGraph {
   // src != dst.
   void AddEdge(int src, int dst, LabelId label);
 
-  int num_vertices() const { return static_cast<int>(vertex_labels_.size()); }
+  int num_vertices() const { return num_vertices_; }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 
-  const std::vector<LabelId>& vertex_labels() const { return vertex_labels_; }
+  std::span<const LabelId> vertex_labels() const {
+    return {packed_.data(), static_cast<size_t>(num_vertices_)};
+  }
   LabelId vertex_label(int v) const {
     SIMJ_CHECK(v >= 0 && v < num_vertices());
-    return vertex_labels_[v];
+    return packed_[v];
   }
   void set_vertex_label(int v, LabelId label) {
     SIMJ_CHECK(v >= 0 && v < num_vertices());
-    vertex_labels_[v] = label;
+    packed_[v] = label;
   }
 
   const std::vector<Edge>& edges() const { return edges_; }
   const Edge& edge(int e) const { return edges_[e]; }
 
-  // Indices into edges() of edges leaving / entering v.
-  const std::vector<int>& out_edges(int v) const { return out_[v]; }
-  const std::vector<int>& in_edges(int v) const { return in_[v]; }
-
   // Total degree (in + out) of v.
-  int degree(int v) const {
-    return static_cast<int>(out_[v].size() + in_[v].size());
-  }
+  int degree(int v) const { return packed_[num_vertices_ + v]; }
 
-  // Labels of all parallel edges src -> dst (usually 0 or 1 entries).
+  // Labels of all parallel edges src -> dst (usually 0 or 1 entries), by a
+  // scan of edges().
   std::vector<LabelId> EdgeLabelsBetween(int src, int dst) const;
 
-  // Total degrees sorted non-increasingly (used by the degree distance).
-  std::vector<int> SortedDegrees() const;
+  // The per-graph facts of the CSS bound (Thm. 1/3), kept up to date by
+  // AddVertex, AddEdge and FromParts: the total degrees sorted
+  // non-increasingly, and the labels of edges() sorted.
+  std::span<const int> SortedDegrees() const {
+    return {packed_.data() + 2 * num_vertices_,
+            static_cast<size_t>(num_vertices_)};
+  }
+  std::span<const LabelId> SortedEdgeLabels() const {
+    return {packed_.data() + 3 * num_vertices_, edges_.size()};
+  }
 
   // Multiset of vertex labels / edge labels.
   LabelCounts VertexLabelCounts() const;
@@ -75,8 +80,7 @@ class LabeledGraph {
 
   // Full-graph invariant validation for API boundaries: every edge
   // references in-range endpoints, has no self loop and carries a label id
-  // that is valid in `dict`; the adjacency lists agree with edges(); and
-  // every vertex label is a valid id. Returns the first violation as an
+  // that is valid in `dict`; and every vertex label is a valid id. Returns the first violation as an
   // InvalidArgument status with the offending vertex/edge spelled out.
   // O(V + E) — call it when graphs cross a trust boundary (parsers,
   // RPC-style entry points); the join's debug build calls it per input.
@@ -91,8 +95,8 @@ class LabeledGraph {
   // Unlike AddVertex/AddEdge, this enforces nothing: the result may violate
   // every invariant, and callers MUST run Validate() before using the graph.
   // Construction itself stays memory-safe: edges with out-of-range
-  // endpoints are kept in edges() but left out of the adjacency lists
-  // (Validate reports them).
+  // endpoints are kept in edges() but left out of the degrees (Validate
+  // reports them).
   static LabeledGraph FromParts(std::vector<LabelId> vertex_labels,
                                 std::vector<Edge> edges);
 
@@ -100,10 +104,13 @@ class LabeledGraph {
   std::string DebugString(const LabelDictionary& dict) const;
 
  private:
-  std::vector<LabelId> vertex_labels_;
+  // vertex_labels(), the degree of each vertex, SortedDegrees() and
+  // SortedEdgeLabels(), in that order, in one exactly-sized buffer: many
+  // small graphs stay alive at once, and growth slack would cost more than
+  // the one reallocation per AddVertex/AddEdge.
+  std::vector<int> packed_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> out_;
-  std::vector<std::vector<int>> in_;
+  int num_vertices_ = 0;
 };
 
 // Degree distance dif(a, b) (paper Def. 9): with sorted degree sequences of

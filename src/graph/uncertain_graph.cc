@@ -57,14 +57,11 @@ double UncertainGraph::TotalMass() const {
 
 LabeledGraph UncertainGraph::Materialize(const std::vector<int>& choice) const {
   SIMJ_CHECK_EQ(static_cast<int>(choice.size()), num_vertices());
-  LabeledGraph world;
+  LabeledGraph world = structure_;
   for (int v = 0; v < num_vertices(); ++v) {
     const auto& alts = alternatives_[v];
     SIMJ_CHECK(choice[v] >= 0 && choice[v] < static_cast<int>(alts.size()));
-    world.AddVertex(alts[choice[v]].label);
-  }
-  for (const Edge& e : structure_.edges()) {
-    world.AddEdge(e.src, e.dst, e.label);
+    world.set_vertex_label(v, alts[choice[v]].label);
   }
   return world;
 }
@@ -82,23 +79,15 @@ UncertainGraph UncertainGraph::RestrictVertex(
     int v, const std::vector<int>& keep) const {
   SIMJ_CHECK(v >= 0 && v < num_vertices());
   SIMJ_CHECK(!keep.empty());
-  UncertainGraph restricted;
-  for (int u = 0; u < num_vertices(); ++u) {
-    if (u != v) {
-      restricted.AddVertex(alternatives_[u]);
-      continue;
-    }
-    std::vector<LabelAlternative> subset;
-    subset.reserve(keep.size());
-    for (int idx : keep) {
-      SIMJ_CHECK(idx >= 0 && idx < static_cast<int>(alternatives_[v].size()));
-      subset.push_back(alternatives_[v][idx]);
-    }
-    restricted.AddVertex(std::move(subset));
+  std::vector<LabelAlternative> subset;
+  subset.reserve(keep.size());
+  for (int idx : keep) {
+    SIMJ_CHECK(idx >= 0 && idx < static_cast<int>(alternatives_[v].size()));
+    subset.push_back(alternatives_[v][idx]);
   }
-  for (const Edge& e : structure_.edges()) {
-    restricted.AddEdge(e.src, e.dst, e.label);
-  }
+  // The structure, and so its degree and edge-label facts, is unchanged.
+  UncertainGraph restricted = *this;
+  restricted.alternatives_[v] = std::move(subset);
   return restricted;
 }
 

@@ -15,34 +15,44 @@ namespace simj::mem {
 
 namespace {
 
-// Reads a "Key:   1234 kB" line from /proc/self/status. Returns -1 when
-// the file or the key is unavailable (non-Linux).
-int64_t ReadProcStatusKb(const char* key) {
+// Reads the "Key:   1234 kB" lines of `keys` from /proc/self/status in one
+// pass. values_kb[i] is -1 when the file (non-Linux) or keys[i] is
+// unavailable.
+template <size_t N>
+void ReadProcStatusKb(const char* const (&keys)[N], int64_t (&values_kb)[N]) {
+  for (int64_t& value : values_kb) value = -1;
   FILE* file = std::fopen("/proc/self/status", "r");
-  if (file == nullptr) return -1;
-  const size_t key_len = std::strlen(key);
+  if (file == nullptr) return;
+  size_t found = 0;
   char line[256];
-  int64_t value_kb = -1;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
-    if (std::strncmp(line, key, key_len) != 0 || line[key_len] != ':') {
-      continue;
+  while (found < N && std::fgets(line, sizeof(line), file) != nullptr) {
+    for (size_t i = 0; i < N; ++i) {
+      const size_t key_len = std::strlen(keys[i]);
+      if (std::strncmp(line, keys[i], key_len) != 0 || line[key_len] != ':') {
+        continue;
+      }
+      long long parsed = 0;
+      if (std::sscanf(line + key_len + 1, "%lld", &parsed) == 1) {
+        values_kb[i] = parsed;
+      }
+      ++found;
+      break;
     }
-    long long parsed = 0;
-    if (std::sscanf(line + key_len + 1, "%lld", &parsed) == 1) {
-      value_kb = parsed;
-    }
-    break;
   }
   std::fclose(file);
-  return value_kb;
 }
+
+int64_t ReadProcStatusKb(const char* key) {
+  int64_t value_kb[1] = {};
+  ReadProcStatusKb({key}, value_kb);
+  return value_kb[0];
+}
+
+int64_t KbToBytes(int64_t kb) { return kb < 0 ? 0 : kb * 1024; }
 
 }  // namespace
 
-int64_t CurrentRssBytes() {
-  int64_t kb = ReadProcStatusKb("VmRSS");
-  return kb < 0 ? 0 : kb * 1024;
-}
+int64_t CurrentRssBytes() { return KbToBytes(ReadProcStatusKb("VmRSS")); }
 
 int64_t PeakRssBytes() {
   int64_t kb = ReadProcStatusKb("VmHWM");
@@ -79,12 +89,16 @@ void SampleRssToMetrics() {
     return true;
   }();
   (void)help_registered;
-  int64_t current = CurrentRssBytes();
+  // One pass over /proc/self/status for both figures; the peak falls back
+  // to PeakRssBytes() where VmHWM is unavailable.
+  int64_t kb[2] = {};
+  ReadProcStatusKb({"VmRSS", "VmHWM"}, kb);
+  const int64_t current = KbToBytes(kb[0]);
   if (current > 0) {
     registry.GetGauge("simj_mem_current_rss_bytes")
         .Set(static_cast<double>(current));
   }
-  int64_t peak = PeakRssBytes();
+  const int64_t peak = kb[1] >= 0 ? KbToBytes(kb[1]) : PeakRssBytes();
   if (peak > 0) {
     registry.GetGauge("simj_mem_peak_rss_bytes")
         .UpdateMax(static_cast<double>(peak));

@@ -4,6 +4,7 @@
 #include "ged/lower_bounds.h"
 #include "graph/uncertain_graph.h"
 #include "test_util.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace simj::ged {
@@ -124,6 +125,47 @@ TEST_P(UncertainBoundPropertyTest, UniformBoundHoldsForEveryWorld) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, UncertainBoundPropertyTest,
                          ::testing::Range(0, 40));
+
+class ThresholdCssPropertyTest : public ::testing::TestWithParam<int> {};
+
+// The threshold form decides `bound > stop_above` exactly as the exact form
+// does, returns the exact bound whenever it is within the threshold, and
+// never overshoots it.
+TEST_P(ThresholdCssPropertyTest, AgreesWithExactForm) {
+  LabelDictionary dict;
+  auto vlabels = simj::testing::TestLabels(dict, 5);
+  vlabels.push_back(dict.Intern("?x"));  // mix in wildcards
+  std::vector<graph::LabelId> elabels = {dict.Intern("r1"),
+                                         dict.Intern("r2")};
+  metrics::Counter& calls = metrics::Registry::Global().GetCounter(
+      "simj_bound_css_uncertain_total");
+  Rng rng(900 + GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    LabeledGraph q = simj::testing::RandomCertainGraph(
+        rng, vlabels, elabels, static_cast<int>(rng.Uniform(1, 7)),
+        static_cast<int>(rng.Uniform(0, 9)));
+    UncertainGraph g = simj::testing::RandomUncertainGraph(
+        rng, vlabels, elabels, static_cast<int>(rng.Uniform(1, 7)),
+        static_cast<int>(rng.Uniform(0, 9)), /*max_alts=*/3);
+    const int64_t calls_before = calls.Value();
+    const int exact = CssLowerBoundUncertain(q, g, dict);
+    for (int stop_above = 0; stop_above <= 6; ++stop_above) {
+      const int bounded = CssLowerBoundUncertain(q, g, dict, stop_above);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " exact "
+                                        << exact << " stop_above "
+                                        << stop_above);
+      if (exact <= stop_above) {
+        EXPECT_EQ(bounded, exact);
+      }
+      EXPECT_EQ(bounded > stop_above, exact > stop_above);
+      EXPECT_LE(bounded, exact);
+    }
+    EXPECT_EQ(calls.Value() - calls_before, 8);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ThresholdCssPropertyTest,
+                         ::testing::Range(0, 10));
 
 TEST(CStarBoundTest, HandCases) {
   LabelDictionary dict;

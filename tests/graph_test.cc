@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -150,7 +153,72 @@ TEST(LabeledGraphTest, DegreesCountBothDirections) {
   EXPECT_EQ(g.degree(v0), 2);
   EXPECT_EQ(g.degree(v1), 1);
   EXPECT_EQ(g.degree(v2), 1);
-  EXPECT_EQ(g.SortedDegrees(), (std::vector<int>{2, 1, 1}));
+  const std::span<const int> sorted = g.SortedDegrees();
+  EXPECT_EQ(std::vector<int>(sorted.begin(), sorted.end()),
+            (std::vector<int>{2, 1, 1}));
+}
+
+// The degrees and sorted facts a graph maintains of itself, against a
+// fresh count over edges() (in-range endpoints only) and a fresh sort.
+void ExpectFactsMatchFreshSort(const LabeledGraph& g) {
+  const int n = g.num_vertices();
+  std::vector<int> degrees(n, 0);
+  for (const Edge& e : g.edges()) {
+    if (e.src >= 0 && e.src < n) ++degrees[e.src];
+    if (e.dst >= 0 && e.dst < n) ++degrees[e.dst];
+  }
+  for (int v = 0; v < n; ++v) EXPECT_EQ(g.degree(v), degrees[v]);
+  std::sort(degrees.begin(), degrees.end(), std::greater<int>());
+  std::vector<LabelId> labels;
+  for (const Edge& e : g.edges()) labels.push_back(e.label);
+  std::sort(labels.begin(), labels.end());
+  const std::span<const int> kept_degrees = g.SortedDegrees();
+  const std::span<const LabelId> kept_labels = g.SortedEdgeLabels();
+  EXPECT_EQ(std::vector<int>(kept_degrees.begin(), kept_degrees.end()),
+            degrees);
+  EXPECT_EQ(std::vector<LabelId>(kept_labels.begin(), kept_labels.end()),
+            labels);
+}
+
+TEST(LabeledGraphTest, MaintainedFactsEqualFreshSort) {
+  LabelDictionary dict;
+  auto labels = testing::TestLabels(dict, 4);
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.Uniform(0, 8));
+    LabeledGraph g;
+    std::vector<Edge> edges;
+    // Interleave vertex and edge additions, checking after each one.
+    for (int step = 0; step < 3 * n + 4; ++step) {
+      if (g.num_vertices() < 2 || (g.num_vertices() < n && rng.Bernoulli(0.4))) {
+        g.AddVertex(labels[rng.Uniform(0, 3)]);
+      } else {
+        const int src = static_cast<int>(rng.Uniform(0, g.num_vertices() - 1));
+        const int dst = static_cast<int>(rng.Uniform(0, g.num_vertices() - 1));
+        if (src == dst) continue;
+        const LabelId label = labels[rng.Uniform(0, 3)];
+        g.AddEdge(src, dst, label);
+        edges.push_back(Edge{src, dst, label});
+      }
+      ExpectFactsMatchFreshSort(g);
+    }
+    // FromParts counts only in-range endpoints in degrees, but every edge's
+    // label.
+    edges.push_back(Edge{0, g.num_vertices() + 2, labels[1]});
+    edges.push_back(Edge{-1, 0, labels[2]});
+    LabeledGraph parts = LabeledGraph::FromParts(
+        {g.vertex_labels().begin(), g.vertex_labels().end()}, edges);
+    EXPECT_TRUE(std::ranges::equal(parts.vertex_labels(), g.vertex_labels()));
+    ExpectFactsMatchFreshSort(parts);
+    EXPECT_EQ(parts.num_edges(), g.num_edges() + 2);
+
+    UncertainGraph lifted = UncertainGraph::FromCertain(g);
+    ExpectFactsMatchFreshSort(lifted.structure());
+    ExpectFactsMatchFreshSort(lifted.RestrictVertex(0, {0}).structure());
+    ExpectFactsMatchFreshSort(
+        lifted.Materialize(std::vector<int>(g.num_vertices(), 0)));
+    ASSERT_FALSE(HasFailure()) << "trial " << trial;
+  }
 }
 
 TEST(LabeledGraphTest, ParallelEdgesAreKept) {

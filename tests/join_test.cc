@@ -313,6 +313,65 @@ TEST(JoinTest, ThreadedJoinKeepsAPermanentFreeze) {
   EXPECT_TRUE(data.dict.frozen());
 }
 
+// With explain mode off the structural filter may stop at a floor above
+// tau instead of the exact CSS bound; the decisions, and so the pairs and
+// every counter, must not change.
+TEST(JoinTest, ExplainModeDoesNotChangeResultsOrCounters) {
+  for (int seed = 0; seed < 12; ++seed) {
+    simj::testing::RandomJoinWorkloadOptions options;
+    options.num_certain = 8;
+    options.num_uncertain = 8;
+    options.max_vertices = 6;
+    options.max_edges = 8;
+    options.max_uncertain_edges = 8;
+    simj::testing::RandomJoinWorkload workload =
+        simj::testing::MakeRandomJoinWorkload(1700 + seed, options);
+    SimJParams params;
+    params.tau = seed % 4;
+    params.alpha = 0.3;
+    params.probabilistic_pruning = seed % 2 == 0;
+    JoinResult quiet = SimJoin(workload.d, workload.u, params, workload.dict);
+    params.explain.enabled = true;
+    JoinResult explained =
+        SimJoin(workload.d, workload.u, params, workload.dict);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ASSERT_EQ(quiet.pairs.size(), explained.pairs.size());
+    for (size_t i = 0; i < quiet.pairs.size(); ++i) {
+      const MatchedPair& a = quiet.pairs[i];
+      const MatchedPair& b = explained.pairs[i];
+      EXPECT_EQ(a.q_index, b.q_index);
+      EXPECT_EQ(a.g_index, b.g_index);
+      EXPECT_EQ(a.similarity_probability, b.similarity_probability);
+      EXPECT_EQ(a.mapping, b.mapping);
+      EXPECT_EQ(a.best_world_ged, b.best_world_ged);
+    }
+    const JoinStats& x = quiet.stats;
+    const JoinStats& y = explained.stats;
+    EXPECT_GT(x.pruned_structural, 0);
+    EXPECT_EQ(x.total_pairs, y.total_pairs);
+    EXPECT_EQ(x.pruned_structural, y.pruned_structural);
+    EXPECT_EQ(x.pruned_probabilistic, y.pruned_probabilistic);
+    EXPECT_EQ(x.candidates, y.candidates);
+    EXPECT_EQ(x.results, y.results);
+    EXPECT_EQ(x.verify.worlds_enumerated, y.verify.worlds_enumerated);
+    EXPECT_EQ(x.verify.worlds_pruned_by_bound, y.verify.worlds_pruned_by_bound);
+    EXPECT_EQ(x.verify.worlds_accepted_by_upper_bound,
+              y.verify.worlds_accepted_by_upper_bound);
+    EXPECT_EQ(x.verify.ged_calls, y.verify.ged_calls);
+    EXPECT_EQ(x.verify.ged_aborted, y.verify.ged_aborted);
+    EXPECT_TRUE(quiet.explains.empty());
+    EXPECT_EQ(explained.explains.size(),
+              static_cast<size_t>(explained.stats.total_pairs));
+    // Explain mode records the exact bound, never the threshold floor.
+    for (const PairExplain& record : explained.explains) {
+      EXPECT_EQ(record.css_lower_bound,
+                ged::CssLowerBoundUncertain(workload.d[record.q_index],
+                                            workload.u[record.g_index],
+                                            workload.dict));
+    }
+  }
+}
+
 TEST(JoinTest, EmptyInputs) {
   LabelDictionary dict;
   SimJParams params;

@@ -93,16 +93,16 @@ TEST(LabeledGraphValidateTest, InvalidEdgeLabelRejected) {
 }
 
 TEST(LabeledGraphValidateTest, FromPartsRoundTripsWellFormedInput) {
-  // The escape hatch itself must not corrupt valid input: adjacency is
-  // rebuilt so Validate's partition check passes.
+  // The escape hatch itself must not corrupt valid input: the degrees are
+  // rebuilt from the edges.
   LabelDictionary dict;
   std::vector<LabelId> labels = testing::TestLabels(dict, 3);
   LabeledGraph g = LabeledGraph::FromParts(
       {labels[0], labels[1]},
       {Edge{0, 1, labels[2]}, Edge{1, 0, labels[2]}});
   EXPECT_TRUE(g.Validate(dict).ok()) << g.Validate(dict).ToString();
-  EXPECT_EQ(g.out_edges(0).size(), 1u);
-  EXPECT_EQ(g.in_edges(0).size(), 1u);
+  EXPECT_EQ(g.degree(0), 2);
+  EXPECT_EQ(g.degree(1), 2);
 }
 
 // ---------------------------------------------------------------------------
